@@ -94,7 +94,7 @@ class BatchUnsupported(Exception):
 
     Deliberately *not* a :class:`~repro.errors.ReproError` — it never
     reaches user code or the fault policy; the evaluation layer catches
-    it and silently falls back.
+    it, logs the reason at DEBUG level and falls back.
     """
 
 

@@ -262,7 +262,7 @@ class PatternFactorizer:
             raise SingularMatrixError(
                 f"structurally singular MNA matrix in {context}: {exc}"
             ) from exc
-        except TypeError:  # pragma: no cover - gstrf signature changed
+        except TypeError:  # gstrf signature changed
             self._args = None
             return _splu_factor(self._pattern.matrix(data), context)
 

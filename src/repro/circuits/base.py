@@ -22,6 +22,7 @@ the netlist builder and the performance mapping.
 from __future__ import annotations
 
 import abc
+import logging
 import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +38,8 @@ from ..evaluation.template import CircuitTemplate, DesignParameter
 from ..spec.operating import OperatingParameter, OperatingRange
 from ..spec.specification import Performance, Spec
 from ..statistics.space import PhysicalVariations, StatisticalSpace
+
+_LOG = logging.getLogger(__name__)
 
 #: Required saturation margin ``vds - vdsat`` [V].
 SAT_MARGIN = 0.05
@@ -105,6 +108,13 @@ def _warm_rep(value: float, sig: int = WARM_KEY_SIG) -> float:
         return float(value)
     scale = 10.0 ** (math.floor(math.log10(abs(value))) - sig + 1)
     return round(value / scale) * scale
+
+
+def _unit(dim: int, i: int) -> np.ndarray:
+    """Unit-sigma point on statistical axis ``i``."""
+    e_i = np.zeros(dim)
+    e_i[i] = 1.0
+    return e_i
 
 
 def default_operating_range() -> OperatingRange:
@@ -299,23 +309,68 @@ class OpampTemplate(CircuitTemplate):
         """Unit-sigma operating-point secants along each statistical axis
         (one warm solve per axis from the anchor solution).  Axes whose
         perturbed solve fails contribute a zero column — the prediction
-        simply degrades toward the plain anchor."""
+        simply degrades toward the plain anchor.
+
+        The axis solves run in lockstep through one sample-batched plan
+        at ``(d_rep, theta_rep)``, in chunks of
+        :data:`DEFAULT_BATCH_SAMPLES`, warm-started from ``x`` — bitwise
+        the serial ``solve_dc(..., x0=x)`` per axis.  An axis the plan
+        cannot carry, and every axis of a rejected plan, runs the serial
+        solve instead (:meth:`_axis_slope`)."""
         space = self.statistical_space
-        slopes = np.zeros((x.size, space.dim))
-        for i in range(space.dim):
-            e_i = np.zeros(space.dim)
-            e_i[i] = 1.0
-            try:
-                pv = space.to_physical(d_rep, e_i)
-                circuit = self.build(d_rep, pv, theta_rep)
-                x_i = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x,
-                               backend=self.linsolve,
-                               effort=self._dc_effort).x
-            except ReproError:
-                continue
-            if x_i.size == x.size:
-                slopes[:, i] = x_i - x
+        dim = space.dim
+        slopes = np.zeros((x.size, dim))
+        serial = list(range(dim))
+        try:
+            plan = self._batch_plan(d_rep, theta_rep) if dim > 1 else None
+        except (BatchUnsupported, ReproError) as exc:
+            self._log_plan_rejected(exc)
+            plan = None
+        if plan is not None:
+            pv_of: dict = {}
+            for i in range(dim):
+                try:
+                    pv_of[i] = space.to_physical(d_rep, _unit(dim, i))
+                except ReproError:
+                    continue  # a zero column, as in _axis_slope
+            axes = list(pv_of)
+            serial = []
+            for start in range(0, len(axes), DEFAULT_BATCH_SAMPLES):
+                chunk = axes[start:start + DEFAULT_BATCH_SAMPLES]
+                plan.set_samples([pv_of[i] for i in chunk])
+                x_sol, _, ok, strategies = plan.solve(
+                    np.tile(x, (len(chunk), 1)))
+                for k, i in enumerate(chunk):
+                    if ok[k]:
+                        self._dc_effort.count(strategies[k])
+                        slopes[:, i] = x_sol[k] - x
+                    else:
+                        serial.append(i)
+        for i in serial:
+            slope = self._axis_slope(d_rep, theta_rep, x, i)
+            if slope is not None:
+                slopes[:, i] = slope
         return slopes
+
+    def _axis_slope(self, d_rep: Mapping[str, float],
+                    theta_rep: Mapping[str, float], x: np.ndarray,
+                    i: int) -> Optional[np.ndarray]:
+        """The serial secant along statistical axis ``i``: one warm
+        ``solve_dc`` from ``x``; None when the perturbed solve fails."""
+        space = self.statistical_space
+        try:
+            pv = space.to_physical(d_rep, _unit(space.dim, i))
+            circuit = self.build(d_rep, pv, theta_rep)
+            x_i = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x,
+                           backend=self.linsolve,
+                           effort=self._dc_effort).x
+        except ReproError:
+            return None
+        return x_i - x if x_i.size == x.size else None
+
+    def _log_plan_rejected(self, exc: BaseException) -> None:
+        _LOG.debug("%s: sample-batched plan rejected, running serially: %s",
+                   getattr(self, "name", type(self).__name__), exc)
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
                  theta: Mapping[str, float]) -> Dict[str, float]:
@@ -361,7 +416,8 @@ class OpampTemplate(CircuitTemplate):
                                           batch_samples=batch_samples)
         try:
             plan = self._batch_plan(d, theta)
-        except (BatchUnsupported, ReproError):
+        except (BatchUnsupported, ReproError) as exc:
+            self._log_plan_rejected(exc)
             return super().evaluate_batch(d, rows, theta,
                                           batch_samples=batch_samples)
         space = self.statistical_space

@@ -539,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K",
                    help="samples per vectorized verification-MC chunk "
                         "(default: auto; 1 = scalar per-sample path; "
-                        "results are bit-identical either way)")
+                        "results are bit-identical either way).  Sizes "
+                        "only the verification Monte-Carlo: gradient "
+                        "probes and warm-anchor slopes are always batched")
     p.add_argument("--verify-shard", metavar="i/N",
                    help="run only shard i of an N-way split of every "
                         "verification Monte-Carlo (merge the shards' "

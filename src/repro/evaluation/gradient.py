@@ -11,18 +11,18 @@ Normalized statistical coordinates are all O(1) (unit variance), so one
 absolute step works for ``s``.  Design parameters span decades of physical
 magnitude, so their step is relative.
 
-The probes of one gradient are mutually independent, so every gradient
-function accepts an optional ``pool``
-(:class:`~repro.yieldsim.executor.PoolHandle`) and then evaluates its
-probes concurrently via
-:func:`~repro.yieldsim.executor.dispatch_points`; the arithmetic on the
-returned values is unchanged, so pooled gradients are bit-identical to
-serial ones.
+The probes of one gradient are mutually independent.  They run on an
+optional ``pool`` (:class:`~repro.yieldsim.executor.PoolHandle`) via
+:func:`~repro.yieldsim.executor.dispatch_points`; without one, the ``s``
+probes (dim(s) rows at one ``(d, theta)``) go through the sample-batched
+engine in one :func:`~repro.yieldsim.executor.batched_columns` call.
+Every path evaluates bit-identical values, so gradients are
+bit-identical whichever one ran.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +45,70 @@ def _design_step(parameter, value: float, rel_step: float) -> float:
     return max(abs(value) * rel_step, span * rel_step * 1e-2, 1e-15)
 
 
-def _pooled_values(pool, evaluator, points):
-    """Probe values via the shared pool, or None (caller loops serially)."""
-    if pool is None:
-        return None
-    from ..yieldsim.executor import dispatch_points
-    return dispatch_points(pool, evaluator, points)
+def _design_probes(evaluator: Evaluator, d: Mapping[str, float],
+                   rel_step: float
+                   ) -> Iterator[Tuple[str, float, Dict[str, float]]]:
+    """``(name, step, probe_d)`` per design parameter; probes respect the
+    box bounds by stepping backwards at the upper bound."""
+    for parameter in evaluator.template.design_parameters:
+        name = parameter.name
+        step = _design_step(parameter, d[name], rel_step)
+        if d[name] + step > parameter.upper:
+            step = -step
+        probe = dict(d)
+        probe[name] = d[name] + step
+        yield name, step, probe
+
+
+def _differences(evaluator: Evaluator, base: Mapping[str, float],
+                 steps: List[float], points: List[Tuple], pool,
+                 shared_d_theta: bool) -> Dict[str, List[float]]:
+    """Forward differences of every performance in ``base`` over the
+    ``(d, s_hat, theta)`` probe ``points`` (one per step).  The probes
+    run on the pool when one is usable, else through the sample-batched
+    engine when every point shares ``(d, theta)``, else one at a time."""
+    from ..yieldsim.executor import batched_columns, dispatch_points
+    values = dispatch_points(pool, evaluator, points)
+    if values is None and shared_d_theta and len(points) > 1:
+        d, _, theta = points[0]
+        columns = batched_columns(evaluator, d, [theta],
+                                  [s_hat for _, s_hat, _ in points])
+        if columns is not None:
+            values = [column[0] for column in columns]
+    if values is None:
+        values = [evaluator.evaluate(d, s_hat, theta)
+                  for d, s_hat, theta in points]
+    return {name: [(probe[name] - base[name]) / step
+                   for probe, step in zip(values, steps)]
+            for name in base}
+
+
+def _gradients_s(evaluator: Evaluator, base: Mapping[str, float],
+                 d: Mapping[str, float], s_hat: np.ndarray,
+                 theta: Mapping[str, float], step: float,
+                 pool) -> Dict[str, np.ndarray]:
+    points = []
+    for k in range(len(s_hat)):
+        probe = s_hat.copy()
+        probe[k] += step
+        points.append((d, probe, theta))
+    columns = _differences(evaluator, base, [step] * len(points), points,
+                           pool, shared_d_theta=True)
+    return {name: np.array(column, dtype=float)
+            for name, column in columns.items()}
+
+
+def _gradients_d(evaluator: Evaluator, base: Mapping[str, float],
+                 d: Mapping[str, float], s_hat: np.ndarray,
+                 theta: Mapping[str, float], rel_step: float,
+                 pool) -> Dict[str, Dict[str, float]]:
+    probes = list(_design_probes(evaluator, d, rel_step))
+    columns = _differences(evaluator, base,
+                           [step for _, step, _ in probes],
+                           [(probe, s_hat, theta) for _, _, probe in probes],
+                           pool, shared_d_theta=False)
+    return {name: dict(zip([pname for pname, _, _ in probes], column))
+            for name, column in columns.items()}
 
 
 def performance_gradient_s(
@@ -70,19 +128,8 @@ def performance_gradient_s(
     s_hat = np.asarray(s_hat, dtype=float)
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    probes = []
-    for k in range(len(s_hat)):
-        probe = s_hat.copy()
-        probe[k] += step
-        probes.append(probe)
-    values = _pooled_values(pool, evaluator,
-                            [(d, probe, theta) for probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(d, probe, theta) for probe in probes]
-    gradient = np.empty(len(s_hat))
-    for k, probe_values in enumerate(values):
-        gradient[k] = (probe_values[performance] - base_value) / step
-    return gradient
+    return _gradients_s(evaluator, {performance: base_value}, d, s_hat,
+                        theta, step, pool)[performance]
 
 
 def all_gradients_s(
@@ -102,21 +149,7 @@ def all_gradients_s(
     """
     s_hat = np.asarray(s_hat, dtype=float)
     base = evaluator.evaluate(d, s_hat, theta)
-    names = list(base.keys())
-    probes = []
-    for k in range(len(s_hat)):
-        probe = s_hat.copy()
-        probe[k] += step
-        probes.append(probe)
-    values = _pooled_values(pool, evaluator,
-                            [(d, probe, theta) for probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(d, probe, theta) for probe in probes]
-    gradients = {name: np.empty(len(s_hat)) for name in names}
-    for k, probe_values in enumerate(values):
-        for name in names:
-            gradients[name][k] = (probe_values[name] - base[name]) / step
-    return gradients
+    return _gradients_s(evaluator, base, d, s_hat, theta, step, pool)
 
 
 def performance_gradient_d(
@@ -136,25 +169,8 @@ def performance_gradient_d(
     """
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    probes = []
-    for parameter in evaluator.template.design_parameters:
-        name = parameter.name
-        step = _design_step(parameter, d[name], rel_step)
-        if d[name] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[name] = d[name] + step
-        probes.append((name, step, probe))
-    values = _pooled_values(pool, evaluator,
-                            [(probe, s_hat, theta)
-                             for _, _, probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(probe, s_hat, theta)
-                  for _, _, probe in probes]
-    gradient: Dict[str, float] = {}
-    for (name, step, _), probe_values in zip(probes, values):
-        gradient[name] = (probe_values[performance] - base_value) / step
-    return gradient
+    return _gradients_d(evaluator, {performance: base_value}, d, s_hat,
+                        theta, rel_step, pool)[performance]
 
 
 def all_gradients_d(
@@ -168,27 +184,7 @@ def all_gradients_d(
     """Gradients of all performances w.r.t. all design parameters from one
     shared set of probes (dim(d)+1 simulations)."""
     base = evaluator.evaluate(d, s_hat, theta)
-    names = list(base.keys())
-    probes = []
-    for parameter in evaluator.template.design_parameters:
-        pname = parameter.name
-        step = _design_step(parameter, d[pname], rel_step)
-        if d[pname] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[pname] = d[pname] + step
-        probes.append((pname, step, probe))
-    values = _pooled_values(pool, evaluator,
-                            [(probe, s_hat, theta)
-                             for _, _, probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(probe, s_hat, theta)
-                  for _, _, probe in probes]
-    gradients: Dict[str, Dict[str, float]] = {name: {} for name in names}
-    for (pname, step, _), probe_values in zip(probes, values):
-        for name in names:
-            gradients[name][pname] = (probe_values[name] - base[name]) / step
-    return gradients
+    return _gradients_d(evaluator, base, d, s_hat, theta, rel_step, pool)
 
 
 def constraint_jacobian(
@@ -203,13 +199,7 @@ def constraint_jacobian(
     """
     c0 = evaluator.constraints(d)
     jacobian: Dict[str, Dict[str, float]] = {name: {} for name in c0}
-    for parameter in evaluator.template.design_parameters:
-        pname = parameter.name
-        step = _design_step(parameter, d[pname], rel_step)
-        if d[pname] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[pname] = d[pname] + step
+    for pname, step, probe in _design_probes(evaluator, d, rel_step):
         values = evaluator.constraints(probe)
         for cname in c0:
             jacobian[cname][pname] = (values[cname] - c0[cname]) / step

@@ -459,6 +459,57 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
     return values
 
 
+def batched_columns(evaluator, d: Mapping[str, float],
+                    thetas: Sequence[Mapping[str, float]],
+                    matrix: Sequence[np.ndarray],
+                    batch_samples: Optional[int] = None
+                    ) -> Optional[List[List[Dict[str, float]]]]:
+    """In-process evaluation of ``matrix`` rows through the
+    sample-batched engine.
+
+    Evaluates column-major — all rows at one theta per
+    :meth:`~repro.evaluation.evaluator.Evaluator.evaluate_batch` call,
+    so one vectorized simulation covers a whole chunk — then transposes
+    back to the row-major layout ``values[j][g]``.  Values, cache
+    contents and counter totals are identical to the scalar per-row
+    loop (the batched engine guarantees bitwise parity; column order
+    only permutes *when* each theta's work happens).  Serves both the
+    Monte-Carlo executor and the finite-difference gradient probes.
+
+    Fault handling replicates the serial stack: a row whose first
+    attempt raised is resumed through the parent's
+    :meth:`~repro.runtime.tolerant.FaultTolerantEvaluator.
+    resume_after_failure` (same classification, same deterministic
+    jitter, same counters).  Without a policy the serial loop would
+    propagate the first failure in row-major order, so the earliest
+    (row, theta) failure is re-raised.
+
+    Returns None when the evaluation stack is not batchable (a
+    non-replicable wrapper); the caller then runs the scalar loop.
+    """
+    maybe = unwrap_pool_stack(evaluator)
+    if maybe is None:
+        return None
+    inner, policy, _ = maybe
+    rows = [np.asarray(row, dtype=float) for row in matrix]
+    columns: List[List] = []
+    for theta in thetas:
+        entries = inner.evaluate_batch(d, rows, theta,
+                                       batch_samples=batch_samples)
+        column: List = []
+        for row, entry in zip(rows, entries):
+            if isinstance(entry, BaseException) and policy is not None:
+                entry = evaluator.resume_after_failure(d, row, theta, entry)
+            column.append(entry)
+        columns.append(column)
+    for j in range(len(rows)):  # earliest failure in row-major order
+        for column in columns:
+            if isinstance(column[j], BaseException):
+                raise column[j]
+    return [[dict(column[j]) for column in columns]
+            for j in range(len(rows))]
+
+
 # -- driver ------------------------------------------------------------------
 class BatchExecutor:
     """Drives an :class:`Evaluator` over a sample matrix in batches.
@@ -503,54 +554,6 @@ class BatchExecutor:
         return self._run_pool(evaluator, d, thetas, matrix)
 
     # -- serial ----------------------------------------------------------------
-    def _batched_columns(self, evaluator, d: Mapping[str, float],
-                         thetas: Sequence[Mapping[str, float]],
-                         matrix: np.ndarray
-                         ) -> Optional[List[List[Dict[str, float]]]]:
-        """In-process evaluation through the sample-batched engine.
-
-        Evaluates column-major — all samples at one theta per
-        :meth:`~repro.evaluation.evaluator.Evaluator.evaluate_batch`
-        call, so one vectorized simulation covers a whole chunk — then
-        transposes back to the row-major output layout.  Values, cache
-        contents and counter totals are identical to the scalar
-        per-sample loop (the batched engine guarantees bitwise parity;
-        column order only permutes *when* each theta's work happens).
-
-        Fault handling replicates the serial stack: a sample whose first
-        attempt raised is resumed through the parent's
-        :meth:`~repro.runtime.tolerant.FaultTolerantEvaluator.
-        resume_after_failure` (same classification, same deterministic
-        jitter, same counters).  Without a policy the serial loop would
-        propagate the first failure in row-major order, so the earliest
-        (row, theta) failure is re-raised.
-
-        Returns None when the evaluation stack is not batchable (a
-        non-replicable wrapper); the caller then runs the scalar loop.
-        """
-        maybe = unwrap_pool_stack(evaluator)
-        if maybe is None:
-            return None
-        inner, policy, _ = maybe
-        rows = [np.asarray(row, dtype=float) for row in matrix]
-        columns: List[List] = []
-        for theta in thetas:
-            entries = inner.evaluate_batch(
-                d, rows, theta, batch_samples=self.config.batch_samples)
-            column: List = []
-            for row, entry in zip(rows, entries):
-                if isinstance(entry, BaseException) and policy is not None:
-                    entry = evaluator.resume_after_failure(
-                        d, row, theta, entry)
-                column.append(entry)
-            columns.append(column)
-        for j in range(len(rows)):  # earliest failure in row-major order
-            for column in columns:
-                if isinstance(column[j], BaseException):
-                    raise column[j]
-        return [[dict(column[j]) for column in columns]
-                for j in range(len(rows))]
-
     def _run_serial(self, evaluator: Evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
                     matrix: np.ndarray) -> BatchOutcome:
@@ -558,7 +561,8 @@ class BatchExecutor:
                   evaluator.cache_hits, evaluator.cache_misses)
         values = None
         if matrix.shape[0] > 1 and self.config.batch_samples != 1:
-            values = self._batched_columns(evaluator, d, thetas, matrix)
+            values = batched_columns(evaluator, d, thetas, matrix,
+                                     self.config.batch_samples)
         if values is None:
             values = [[dict(evaluator.evaluate(d, row, theta))
                        for theta in thetas] for row in matrix]

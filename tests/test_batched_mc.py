@@ -12,6 +12,7 @@ statistics, degenerate slew extraction, serve-client poll floor) live in
 their subsystems' own test modules.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.circuits.base import DEFAULT_BATCH_SAMPLES, _ProbeGlobals
 from repro.circuits.miller import MillerOpamp
 from repro.errors import ConvergenceError, ReproError
 from repro.evaluation import Evaluator
+from repro.evaluation.gradient import STEP_S, performance_gradient_s
 from repro.evaluation.template import CircuitTemplate
 from repro.runtime import FaultPolicy, FaultTolerantEvaluator
 from repro.runtime.policy import FaultAction
@@ -225,6 +227,38 @@ class TestProbeVerification:
         _assert_entries_match(
             _serial_entries(t_plain, d, rows, theta),
             t_reader.evaluate_batch(d, rows, theta))
+
+    def test_rejected_plan_is_logged_and_probes_stay_exact(self, caplog):
+        """Both batched fan-outs of the optimizer loop (gradient probes,
+        anchor slopes) fall back to serial on a rejected plan — with a
+        DEBUG record naming the template and the reason — and produce
+        exactly the plain template's gradients and slopes."""
+        def run(template):
+            evaluator = Evaluator(template)
+            d = template.initial_design()
+            theta = template.operating_range.nominal()
+            s_hat = np.zeros(template.statistical_space.dim)
+            gradient = performance_gradient_s(evaluator, "a0", d, s_hat,
+                                              theta)
+            x, slopes, _ = template._warm_anchor(d, theta)
+            return (gradient.tobytes(), x.tobytes(), slopes.tobytes(),
+                    template.dc_effort_stats())
+
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            reader = run(_GlobalsReadingMiller())
+        rejected = [r for r in caplog.records
+                    if r.name.startswith("repro")
+                    and "plan rejected" in r.getMessage()]
+        assert rejected
+        assert all(r.levelno == logging.DEBUG for r in rejected)
+        message = rejected[0].getMessage()
+        assert "miller" in message and "pv.global_values" in message
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            plain = run(MillerOpamp())
+        assert not [r for r in caplog.records
+                    if "plan rejected" in r.getMessage()]
+        assert reader == plain
 
     def test_probe_globals_refuse_every_read(self):
         probe = _ProbeGlobals()
@@ -550,3 +584,198 @@ class TestEstimatorEndToEnd:
                     template.warm_cache_stats())
 
         assert run(1) == run(None)
+
+
+ALL_TEMPLATES = DENSE_TEMPLATES + ["two-stage-array"]
+
+
+def _looped_gradient_s(evaluator, performance, d, s_hat, theta,
+                       base_value=None):
+    """Reference: the explicit per-probe ``evaluate`` loop."""
+    if base_value is None:
+        base_value = evaluator.performance(performance, d, s_hat, theta)
+    gradient = np.empty(len(s_hat))
+    for k in range(len(s_hat)):
+        probe = s_hat.copy()
+        probe[k] += STEP_S
+        gradient[k] = (evaluator.evaluate(d, probe, theta)[performance]
+                       - base_value) / STEP_S
+    return gradient
+
+
+def _looped_slopes(template, d, theta, x):
+    """Reference: one warm ``solve_dc`` per statistical axis."""
+    space = template.statistical_space
+    slopes = np.zeros((x.size, space.dim))
+    for i in range(space.dim):
+        e_i = np.zeros(space.dim)
+        e_i[i] = 1.0
+        circuit = template.build(d, space.to_physical(d, e_i), theta)
+        try:
+            x_i = solve_dc(circuit, temp_c=theta["temp"], x0=x,
+                           backend=template.linsolve,
+                           effort=template._dc_effort).x
+        except ReproError:
+            continue
+        slopes[:, i] = x_i - x
+    return slopes
+
+
+def _nan_equal(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestBatchedGradientProbes:
+    @pytest.mark.parametrize("name", ALL_TEMPLATES)
+    def test_probes_match_the_scalar_loop(self, name):
+        """At the nominal point and 6 sigma out on one axis, the batched
+        probes give the loop's gradient bit for bit and leave identical
+        evaluator, warm-cache and DC-effort counters."""
+        def run(gradient_fn):
+            template = CIRCUITS[name]()
+            batches = []
+            batched = template.evaluate_batch
+
+            def spy(*args, **kwargs):
+                batches.append(len(args[1]))
+                return batched(*args, **kwargs)
+
+            template.evaluate_batch = spy
+            evaluator = Evaluator(template)
+            d = template.initial_design()
+            theta = template.operating_range.nominal()
+            performance = template.specs[0].performance
+            far = np.zeros(template.statistical_space.dim)
+            far[0] = -6.0
+            gradients = [gradient_fn(evaluator, performance, d, s_hat,
+                                     theta).tobytes()
+                         for s_hat in (np.zeros_like(far), far)]
+            return (gradients,
+                    (evaluator.simulation_count, evaluator.request_count,
+                     evaluator.cache_hits, evaluator.cache_misses),
+                    template.warm_cache_stats(), template.dc_effort_stats(),
+                    batches)
+
+        batched = run(performance_gradient_s)
+        looped = run(_looped_gradient_s)
+        assert batched[:4] == looped[:4]
+        dim = CIRCUITS[name]().statistical_space.dim
+        assert batched[4] == [dim, dim] and looped[4] == []
+
+    def test_analytic_template_probes_match_the_scalar_loop(self):
+        evaluator = Evaluator(LinearTemplate(offset=0.0))
+        d = {"d0": 1.0, "d1": 0.0}
+        theta = {"temp": 27.0}
+        s_hat = np.array([0.3, -1.2])
+        assert np.array_equal(
+            performance_gradient_s(evaluator, "f", d, s_hat, theta),
+            _looped_gradient_s(Evaluator(LinearTemplate(offset=0.0)), "f",
+                               d, s_hat, theta))
+
+
+class TestBatchedAnchorSlopes:
+    @pytest.mark.parametrize("name", ALL_TEMPLATES)
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_slopes_match_the_solve_dc_loop(self, name, offset):
+        """From the anchor solution, and from a start 1 kV off that sends
+        every axis down the cold chain, the lockstep axis solves give the
+        per-axis ``solve_dc`` loop's slopes and strategy counts."""
+        def run(slopes_fn):
+            template = CIRCUITS[name]()
+            d = template.initial_design()
+            theta = template.operating_range.nominal()
+            space = template.statistical_space
+            x = solve_dc(template.build(d, space.to_physical(
+                d, space.nominal()), theta), temp_c=theta["temp"],
+                backend=template.linsolve).x
+            slopes = slopes_fn(template, d, theta, x + offset)
+            return slopes.tobytes(), template.dc_effort_stats()
+
+        batched = run(lambda t, *args: t._anchor_slopes(*args))
+        assert batched == run(_looped_slopes)
+        label = "newton-warm" if offset == 0.0 else "newton"
+        assert batched[1][label] == CIRCUITS[name]().statistical_space.dim
+
+    def test_rows_the_plan_drops_run_serially(self, monkeypatch):
+        solve = batch_module.SampleBatchPlan.solve
+
+        def dropping(self, x0s):
+            x, iterations, ok, strategies = solve(self, x0s)
+            ok = ok.copy()
+            ok[::2] = False
+            strategies = [None if k % 2 == 0 else label
+                          for k, label in enumerate(strategies)]
+            return x, iterations, ok, strategies
+
+        def run():
+            template = CIRCUITS["folded-cascode"]()
+            d = template.initial_design()
+            theta = template.operating_range.nominal()
+            x, slopes, _ = template._warm_anchor(d, theta)
+            return x.tobytes(), slopes.tobytes(), \
+                template.dc_effort_stats()
+
+        exact = run()
+        monkeypatch.setattr(batch_module.SampleBatchPlan, "solve", dropping)
+        assert run() == exact
+
+
+class TestBatchedProbeFaultParity:
+    """The fault-tolerant stack through the batched probes: first-attempt
+    failures are resumed by ``resume_after_failure`` in probe order, so
+    values and fault counters equal the scalar loop's."""
+
+    @staticmethod
+    def _run(gradient_fn, actions, fail_mode):
+        plain = Evaluator(MillerOpamp())
+        d = plain.template.initial_design()
+        theta = plain.template.operating_range.nominal()
+        s_hat = np.zeros(plain.template.statistical_space.dim)
+        base = plain.performance("a0", d, s_hat, theta)
+        probes = sorted(plain.evaluate(d, s_hat + STEP_S * e, theta)["a0"]
+                        for e in np.eye(s_hat.size))
+        # Probes at or below the third-lowest a0 fault on their first
+        # attempt; the one sitting on the threshold can recover on a
+        # jittered retry, the others stay failed.
+        template = _FaultyMiller(hard_below=float(np.nextafter(
+            probes[2], np.inf)))
+        guarded = FaultTolerantEvaluator(Evaluator(template),
+                                         FaultPolicy(actions=actions),
+                                         fail_mode=fail_mode)
+        try:
+            outcome = gradient_fn(guarded, "a0", d, s_hat, theta,
+                                  base_value=base)
+        except Exception as exc:
+            outcome = exc
+        return outcome, (guarded.failed_evaluations,
+                         guarded.retried_evaluations,
+                         guarded.recovered_evaluations)
+
+    def test_retry_and_recover(self):
+        actions = {RuntimeError: FaultAction.RETRY}
+        batched, counts = self._run(performance_gradient_s, actions, "nan")
+        looped, looped_counts = self._run(_looped_gradient_s, actions,
+                                          "nan")
+        assert _nan_equal(batched, looped)
+        assert counts == looped_counts
+        failed, retried, recovered = counts
+        assert failed > 0 and retried > 0 and recovered > 0
+
+    def test_count_as_fail_lenient(self):
+        actions = {RuntimeError: FaultAction.COUNT_AS_FAIL}
+        batched, counts = self._run(performance_gradient_s, actions, "nan")
+        looped, looped_counts = self._run(_looped_gradient_s, actions,
+                                          "nan")
+        assert _nan_equal(batched, looped)
+        assert counts == looped_counts == (3, 0, 0)
+        assert np.isnan(batched).sum() == 3
+
+    def test_strict_mode_reraises_the_same_class(self):
+        actions = {RuntimeError: FaultAction.RETRY}
+        batched, counts = self._run(performance_gradient_s, actions,
+                                    "raise")
+        looped, looped_counts = self._run(_looped_gradient_s, actions,
+                                          "raise")
+        assert isinstance(looped, RuntimeError)
+        assert type(batched) is type(looped)
+        assert counts == looped_counts

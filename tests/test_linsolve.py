@@ -9,6 +9,8 @@ shared-matrix solves.  Failure modes must match too: a singular MNA
 system raises the same :class:`SingularMatrixError` from both backends.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,12 @@ from hypothesis import strategies as st
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.ac import (AcSystem, shared_matrix_transfers,
                               transfer_at)
+import repro.circuit.linsolve as linsolve
 from repro.circuit.dc import WarmStartCache
 from repro.circuit.linsolve import (AUTO_SPARSE_MIN_NODES, DENSE, SPARSE,
-                                    DenseDcSystem, SparseDcSystem,
-                                    SparsePattern, get_pattern,
-                                    resolve_backend)
+                                    DenseDcSystem, PatternFactorizer,
+                                    SparseDcSystem, SparsePattern,
+                                    get_pattern, resolve_backend)
 from repro.errors import AnalysisError, ReproError, SingularMatrixError
 from repro.pdk.generic035 import NMOS
 
@@ -263,6 +266,50 @@ class TestSparsePattern:
         dense = pattern.matrix(
             pattern.fill(np.array([1.0, 2.0, 5.0]))).toarray()
         assert dense == pytest.approx(np.array([[3.0, 0.0], [0.0, 5.0]]))
+
+
+class TestPatternFactorizerFallbacks:
+    """Both fallbacks of the direct private ``gstrf`` path factor through
+    ``_splu_factor``: solves stay bitwise equal to it, and a singular
+    matrix still raises :class:`SingularMatrixError`."""
+
+    ROWS = np.array([0, 1, 2, 0, 1, 2, 0, 2], dtype=np.int32)
+    COLS = np.array([0, 1, 2, 1, 0, 1, 2, 0], dtype=np.int32)
+    VALUES = np.array([4.0, 5.0, 6.0, 1.0, 2.0, 0.5, 1.5, 0.25])
+    RHS = np.array([1.0, -2.0, 0.5])
+
+    def _check(self, pattern, factorizer):
+        with pytest.raises(SingularMatrixError):
+            factorizer.factor(pattern.fill(np.zeros_like(self.VALUES)),
+                              "test")
+        data = pattern.fill(self.VALUES)
+        expected = linsolve._splu_factor(pattern.matrix(data),
+                                         "test").solve(self.RHS)
+        got = factorizer.factor(data, "test").solve(self.RHS)
+        assert np.array_equal(got, expected)
+
+    def test_missing_private_entry_point(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "_superlu_mod", None)
+        pattern = SparsePattern(self.ROWS, self.COLS, 3)
+        factorizer = PatternFactorizer(pattern)
+        assert factorizer._args is None
+        self._check(pattern, factorizer)
+
+    def test_changed_gstrf_signature(self, monkeypatch):
+        if linsolve._superlu_mod is None:
+            pytest.skip("scipy exposes no private gstrf entry point")
+        pattern = SparsePattern(self.ROWS, self.COLS, 3)
+        factorizer = PatternFactorizer(pattern)
+        assert factorizer._args is not None
+
+        def moved(*args, **kwargs):
+            raise TypeError("gstrf() got an unexpected keyword argument")
+
+        # A stand-in module: scipy's own splu keeps the real gstrf.
+        monkeypatch.setattr(linsolve, "_superlu_mod",
+                            types.SimpleNamespace(gstrf=moved))
+        self._check(pattern, factorizer)
+        assert factorizer._args is None  # later calls skip gstrf
 
 
 class TestWarmStartCacheCounters:
