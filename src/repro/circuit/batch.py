@@ -20,24 +20,22 @@ This module exploits the shared structure.  :class:`SampleBatchPlan`
   never corrupt results;
 * captures the prototype's exact stamp-call sequences (DC base, AC
   ``(G, B)``) as triplet descriptors whose values are per-sample arrays;
-* runs the **full lockstep DC homotopy chain** over all samples,
-  evaluating every MOSFET once per iteration for the whole active batch
-  (:func:`repro.circuit.mos.evaluate_nmos_batch`) and replicating the
-  scalar solver's damping/convergence/fault semantics per sample.
-  Samples that leave the warm-Newton happy path (non-finite update or
-  iteration cap) re-enter the next homotopy stage in lockstep — cold
-  Newton from zero, gmin stepping on the shared schedule (gmin enters
-  only the stamped diagonal), source stepping on the shared ramp (the
-  scale enters only the re-accumulated rhs) — exactly mirroring
-  ``dc.solve_dc``'s strategy chain.  Only a singular matrix or an
-  exhausted chain hands a sample back for the serial fallback, whose
-  identical failure reproduces the serial error classification exactly.
+* runs the DC homotopy chain over all samples through the same driver
+  as the scalar solver (:func:`repro.circuit.dc.homotopy_chain`), with a
+  grouped-signature kernel (:meth:`SampleBatchPlan._stage`) that
+  evaluates every MOSFET once per Newton iteration for the whole active
+  batch (:func:`repro.circuit.mos.evaluate_nmos_stacked`); gmin enters
+  only the stamped diagonal and the source-stepping scale only the
+  re-accumulated rhs.  Damping, convergence and escalation are the
+  driver's, per sample.  Only a singular matrix or an exhausted chain
+  hands a sample back for the serial fallback, whose identical failure
+  reproduces the serial error classification exactly.
 
-Parity contract: every arithmetic step mirrors the serial code
+Parity contract: every assembly step mirrors the serial code
 operation-for-operation (same accumulation order, same association, same
-library calls), so batched results are **bitwise identical** to the
-serial per-sample loop — not merely close.  The test suite asserts exact
-equality.
+library calls), and the Newton rule is the serial one itself, so batched
+results are **bitwise identical** to the serial per-sample loop — not
+merely close.  The test suite asserts exact equality.
 """
 
 from __future__ import annotations
@@ -48,8 +46,7 @@ import numpy as np
 
 from ..errors import SingularMatrixError
 from .ac import AcSystem
-from .dc import (ABSTOL_V, DCResult, GMIN_FINAL, MAX_ITERATIONS, MAX_STEP_V,
-                 RELTOL, SOURCE_SCALES, gmin_schedule)
+from .dc import DCResult, GMIN_FINAL, homotopy_chain
 from .devices import (Capacitor, Inductor, Isource, Mosfet, Resistor, Vcvs,
                       Vccs, Vsource)
 from .linsolve import (DenseAcEngine, SparseAcEngine, SparsePattern,
@@ -68,8 +65,8 @@ class _RhsRecordingStamper(TripletStamper):
     """Triplet stamper that additionally records every rhs add as
     ``(row, value, scaled)``, in call order.
 
-    The source-stepping homotopy re-accumulates the linear rhs per scale
-    stage: each recorded source add contributes ``value * scale`` (the
+    The batched kernel re-accumulates the linear rhs per homotopy stage:
+    each recorded source add contributes ``value * scale`` (the
     bitwise equal of the serial ``±(dc * scale)`` stamp, since IEEE
     multiplication is sign-magnitude exact) while non-source adds are
     kept verbatim — never a post-sum scaling, which would associate
@@ -451,7 +448,6 @@ class SampleBatchPlan:
         self._dc_res_slots = np.asarray(res_slots, dtype=np.intp)
         self._dc_res_idx = np.asarray(res_idx, dtype=np.intp)
         self._dc_res_sign = np.asarray(res_sign, dtype=float)
-        self._dc_base_rhs = st.rhs.copy()
         records = st.rhs_records
         self._dc_rhs_rows = np.asarray([r for r, _, _ in records],
                                        dtype=np.intp)
@@ -544,20 +540,7 @@ class SampleBatchPlan:
         if self._dc_res_slots.size:
             base[:, self._dc_res_slots] = \
                 self._dc_res_sign * self._res_g[:, self._dc_res_idx]
-        if self.sparse:
-            self._dc_base_vals = base
-            self._dc_base_mats = None
-        else:
-            size = self.layout.size
-            mats = np.zeros((n, size, size))
-            samp = np.arange(n)[:, None]
-            np.add.at(mats, (samp, self._dc_rows[None, :self._dc_n_linear],
-                             self._dc_cols[None, :self._dc_n_linear]),
-                      base[:, :self._dc_n_linear])
-            diag = np.arange(self.layout.n_nodes)
-            mats[:, diag, diag] += GMIN_FINAL
-            self._dc_base_mats = mats
-            self._dc_base_vals = base
+        self._dc_base_vals = base
         self._fin: Optional[dict] = None
 
     # -- model evaluation -------------------------------------------------------
@@ -589,23 +572,16 @@ class SampleBatchPlan:
         self._mos_w_over_l = np.array([mp.w_eff / mp.l
                                        for mp in self.mosfets])
 
-    def _eval_mosfets(self, x: np.ndarray) -> dict:
-        """Evaluate every transistor at the per-sample solutions ``x``
-        (shape ``(k, size)``); returns ``(k, n_mos)`` quantity matrices
-        mirroring ``Mosfet._evaluate`` + ``stamp_dc`` bit-for-bit.
+    def _eval_mosfets(self, x: np.ndarray, rows: np.ndarray) -> dict:
+        """Evaluate every transistor at the solutions ``x`` (shape
+        ``(k, size)``) of chunk samples ``rows``; returns ``(k, n_mos)``
+        quantity matrices mirroring ``Mosfet._evaluate`` + ``stamp_dc``
+        bit-for-bit.
 
         All devices are evaluated in one stacked
         :func:`evaluate_nmos_stacked` call — the per-device model rows
         broadcast over the sample axis, so per element the arithmetic is
         the per-device loop's, minus its Python/ufunc call overhead."""
-        if self.n_mos == 0:
-            k = x.shape[0]
-            out = {name: np.empty((k, 0)) for name in
-                   ("gm", "gds", "gmb", "gsum", "ieq", "ids", "vgs",
-                    "vds", "vbs", "vth", "vdsat", "vov")}
-            out["region"] = np.empty((k, 0), dtype=np.intp)
-            out["swapped"] = np.empty((k, 0), dtype=bool)
-            return out
         idx, gnd = self._mos_node_idx, self._mos_node_gnd
         volts = x[:, idx]  # (k, 4, n_mos) in d/g/s/b terminal order
         if gnd.any():
@@ -623,7 +599,7 @@ class SampleBatchPlan:
         ev = evaluate_nmos_stacked(
             self._mos_phi, self._mos_gamma, self._mos_smoothing,
             self._mos_lam, self._mos_w_over_l,
-            pol * self._vto, self._kp, vgs, vds_eff, vbs)
+            pol * self._vto[rows], self._kp[rows], vgs, vds_eff, vbs)
         gm, gds, gmb = ev["gm"], ev["gds"], ev["gmb"]
         gsum = gm + gds + gmb
         i_d = pol * ev["ids"]
@@ -636,18 +612,6 @@ class SampleBatchPlan:
             "region": ev["region"].astype(np.intp, copy=False),
             "swapped": swap,
         }
-
-    def _eval_mosfets_rows(self, x: np.ndarray, rows: np.ndarray) -> dict:
-        """Like :meth:`_eval_mosfets` but with the per-sample model-card
-        arrays gathered for an arbitrary subset ``rows`` of the chunk."""
-        saved_vto, saved_kp, saved_n = self._vto, self._kp, self.n_samples
-        try:
-            self._vto = saved_vto[rows]
-            self._kp = saved_kp[rows]
-            self.n_samples = len(rows)
-            return self._eval_mosfets(x)
-        finally:
-            self._vto, self._kp, self.n_samples = saved_vto, saved_kp, saved_n
 
     # -- signature specs ---------------------------------------------------------
     def _dc_spec(self, key: bytes, swaps: np.ndarray) -> _SigSpec:
@@ -792,199 +756,79 @@ class SampleBatchPlan:
     def solve(self, x0s: Optional[np.ndarray]
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                          List[Optional[str]]]:
-        """Lockstep batched DC homotopy over the loaded chunk.
+        """Lockstep batched DC homotopy over the loaded chunk: the shared
+        chain driver (:func:`repro.circuit.dc.homotopy_chain`) with this
+        plan's grouped-signature kernel (:meth:`_stage`).
 
         ``x0s``: per-sample warm starts, shape ``(n, size)``, or ``None``
         to start at the cold Newton stage (the serial ``solve_dc`` with
-        no ``x0``).  Samples that fail a stage re-enter the next one in
-        lockstep, mirroring ``dc.solve_dc``'s strategy chain exactly:
-        warm Newton, cold Newton from zero, gmin stepping on the shared
-        :func:`~repro.circuit.dc.gmin_schedule`, source stepping on the
-        shared :data:`~repro.circuit.dc.SOURCE_SCALES` ramp.
+        no ``x0``).
 
         Returns ``(x, iterations, ok, strategy)``; ``strategy[k]`` is
-        the winning serial strategy label for converged samples and
-        ``None`` for samples with ``ok`` False — a singular matrix at
-        any stage (the serial chain raises through) or an exhausted
-        chain — which must be re-run through the serial path, whose
-        identical failure preserves serial-exact error classification.
+        the winning strategy label for converged samples and ``None``
+        for samples with ``ok`` False — a singular matrix at any stage
+        (the serial chain raises through) or an exhausted chain — which
+        must be re-run through the serial path, whose identical failure
+        preserves serial-exact error classification.
         """
         n = self.n_samples
-        size = self.layout.size
-        x_out = np.zeros((n, size))
-        iters_out = np.zeros(n, dtype=int)
-        strategy: List[Optional[str]] = [None] * n
-
-        def settle(rows: np.ndarray, x: np.ndarray, its: np.ndarray,
-                   label: str) -> None:
-            x_out[rows] = x
-            iters_out[rows] = its
-            for r in rows:
-                strategy[r] = label
-
-        pending = np.arange(n)
-        if x0s is not None:
-            x, its, out = self._newton_stage(
-                pending, np.array(x0s, dtype=float), GMIN_FINAL,
-                self._dc_base_rhs)
-            settle(pending[out == 0], x[out == 0], its[out == 0],
-                   "newton-warm")
-            pending = pending[out == 1]
-        if pending.size:
-            x, its, out = self._newton_stage(
-                pending, np.zeros((pending.size, size)), GMIN_FINAL,
-                self._dc_base_rhs)
-            settle(pending[out == 0], x[out == 0], its[out == 0], "newton")
-            pending = pending[out == 1]
-        if pending.size:
-            # Gmin stepping: x and the iteration total carry across
-            # sub-stages; a sub-stage convergence failure drops the row
-            # to source stepping, a singular matrix to the fallback.
-            rows = pending
-            failed: List[int] = []
-            x = np.zeros((rows.size, size))
-            total = np.zeros(rows.size, dtype=int)
-            for gmin in gmin_schedule():
-                x, its, out = self._newton_stage(rows, x, gmin,
-                                                 self._dc_base_rhs)
-                total += its
-                failed.extend(int(r) for r in rows[out == 1])
-                keep = out == 0
-                if not np.all(keep):
-                    rows, x, total = rows[keep], x[keep], total[keep]
-                if rows.size == 0:
-                    break
-            settle(rows, x, total, "gmin-stepping")
-            pending = np.asarray(sorted(failed), dtype=np.intp)
-        if pending.size:
-            # Source stepping: every independent source ramps through the
-            # shared scale schedule; the scale enters only the rhs (the
-            # Vsource/Isource matrix stamps are scale-free), so one
-            # re-accumulated rhs vector per sub-stage serves all rows.
-            rows = pending
-            x = np.zeros((rows.size, size))
-            total = np.zeros(rows.size, dtype=int)
-            for scale in SOURCE_SCALES:
-                x, its, out = self._newton_stage(rows, x, GMIN_FINAL,
-                                                 self._scaled_rhs(scale))
-                total += its
-                keep = out == 0
-                if not np.all(keep):
-                    # Any sub-stage failure exhausts the serial chain:
-                    # the fallback reproduces the terminal error.
-                    rows, x, total = rows[keep], x[keep], total[keep]
-                if rows.size == 0:
-                    break
-            settle(rows, x, total, "source-stepping")
+        x, iterations, strategy = homotopy_chain(
+            self._stage, n, self.layout.size, self.layout.n_nodes, x0s)
         ok = np.fromiter((label is not None for label in strategy),
                          dtype=bool, count=n)
-        self._finalize(x_out, ok)
-        return x_out, iters_out, ok, strategy
+        self._finalize(x, ok)
+        return x, iterations, ok, strategy
 
-    def _scaled_rhs(self, scale: float) -> np.ndarray:
-        """The linear base rhs at source scale ``scale``, re-accumulated
-        add-by-add in the captured stamp order (source adds scaled
-        individually — bitwise the serial ``±(dc * scale)`` stamps)."""
-        rhs = np.zeros(self.layout.size)
-        if self._dc_rhs_rows.size:
-            vals = np.where(self._dc_rhs_scaled,
-                            self._dc_rhs_vals * scale, self._dc_rhs_vals)
-            np.add.at(rhs, self._dc_rhs_rows, vals)
-        return rhs
-
-    def _stage_bases(self, rows: np.ndarray, gmin: float
-                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Per-sample linear base arrays for one homotopy stage: the
-        cached GMIN_FINAL bases with the gmin diagonal re-valued, exactly
-        as the serial backends stamp a fresh system per stage (the gmin
-        triplets sit behind the linear stamps, so only their value — not
-        the accumulation order — changes)."""
+    def _stage(self, rows: np.ndarray, gmin: float,
+               scale: Optional[float]):
+        """Kernel factory of the chain driver for chunk samples ``rows``
+        at one ``(gmin, scale)`` stage (``scale`` None: unscaled
+        sources).  Each kernel call evaluates the active rows' MOSFETs
+        in one stacked pass, groups the rows by drain/source swap
+        signature and assembles and solves each group; a singular
+        matrix clears the row's ``solved`` flag."""
+        size, n_lin = self.layout.size, self._dc_n_linear
+        # The linear bases as the serial backends stamp a fresh system
+        # per stage: the gmin triplets sit behind the linear stamps, so
+        # only their value, not the accumulation order, changes.
         vals = self._dc_base_vals[rows]
-        vals[:, self._dc_n_linear:] = gmin
-        if self.sparse:
-            return vals, None
-        k = rows.size
-        size = self.layout.size
-        mats = np.zeros((k, size, size))
-        samp = np.arange(k)[:, None]
-        np.add.at(mats, (samp, self._dc_rows[None, :self._dc_n_linear],
-                         self._dc_cols[None, :self._dc_n_linear]),
-                  vals[:, :self._dc_n_linear])
-        diag = np.arange(self.layout.n_nodes)
-        mats[:, diag, diag] += gmin
-        return vals, mats
+        vals[:, n_lin:] = gmin
+        mats = None
+        if not self.sparse:
+            mats = np.zeros((rows.size, size, size))
+            np.add.at(mats, (np.arange(rows.size)[:, None],
+                             self._dc_rows[None, :n_lin],
+                             self._dc_cols[None, :n_lin]), vals[:, :n_lin])
+            diag = np.arange(self.layout.n_nodes)
+            mats[:, diag, diag] += gmin
+        # The linear rhs, re-accumulated add-by-add in the captured stamp
+        # order with each source add scaled on its own: bitwise the
+        # serial ``±(dc * scale)`` stamps (and at scale 1.0 the unscaled
+        # ones).
+        rhs = np.zeros(size)
+        np.add.at(rhs, self._dc_rhs_rows, np.where(
+            self._dc_rhs_scaled,
+            self._dc_rhs_vals * (1.0 if scale is None else scale),
+            self._dc_rhs_vals))
 
-    def _newton_stage(self, rows: np.ndarray, x0s: np.ndarray,
-                      gmin: float, base_rhs: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One lockstep damped-Newton stage at fixed ``gmin`` and linear
-        rhs, replicating ``dc._newton`` per sample.
-
-        Returns ``(x, iterations, outcome)`` aligned with ``rows``;
-        outcome 0 = converged, 1 = ConvergenceError-equivalent
-        (non-finite update or iteration cap — the serial chain moves to
-        its next strategy), 2 = singular matrix (the serial chain raises
-        through; only the fallback reproduces that)."""
-        k = rows.size
-        nv = self.layout.n_nodes
-        x = np.array(x0s, dtype=float)
-        iters = np.zeros(k, dtype=int)
-        out = np.full(k, -1, dtype=np.int8)  # -1 = still iterating
-        if gmin == GMIN_FINAL:
-            stage_vals = self._dc_base_vals
-            stage_mats = self._dc_base_mats
-            gather: Optional[np.ndarray] = rows
-        else:
-            stage_vals, stage_mats = self._stage_bases(rows, gmin)
-            gather = None  # stage arrays already aligned with ``rows``
-        for iteration in range(1, MAX_ITERATIONS + 1):
-            active = np.nonzero(out == -1)[0]
-            if active.size == 0:
-                break
-            xa = x[active]
-            quantities = self._eval_mosfets_rows(xa, rows[active])
-            x_new = np.empty_like(xa)
+        def solve(x: np.ndarray, active: np.ndarray):
+            quantities = self._eval_mosfets(x, rows[active])
+            x_new = np.empty_like(x)
             solved = np.ones(active.size, dtype=bool)
             swaps = quantities["swapped"]
-            keys = [np.packbits(row).tobytes() for row in swaps]
             groups: Dict[bytes, List[int]] = {}
-            for i, key in enumerate(keys):
-                groups.setdefault(key, []).append(i)
+            for i, swap in enumerate(swaps):
+                groups.setdefault(np.packbits(swap).tobytes(), []).append(i)
             for key, members in groups.items():
                 sel = np.asarray(members, dtype=np.intp)
-                spec = self._dc_spec(key, swaps[sel[0]])
-                grp = gather[active[sel]] if gather is not None \
-                    else active[sel]
+                grp = active[sel]
                 self._assemble_and_solve(
-                    spec, stage_vals[grp],
-                    stage_mats[grp] if stage_mats is not None else None,
-                    base_rhs, sel, quantities, x_new, solved)
-            # Per-sample damping/convergence, replicating dc._newton.
-            finite = np.all(np.isfinite(x_new), axis=1)
-            out[active[~solved]] = 2
-            out[active[solved & ~finite]] = 1
-            good = np.nonzero(solved & finite)[0]
-            if good.size == 0:
-                continue
-            delta = x_new[good] - xa[good]
-            step = np.max(np.abs(delta[:, :nv]), axis=1)
-            damp = step > MAX_STEP_V
-            grows = active[good]
-            if np.any(damp):
-                factor = (MAX_STEP_V / step[damp])[:, None]
-                x[grows[damp]] = xa[good[damp]] + delta[damp] * factor
-            accept = ~damp
-            if np.any(accept):
-                xn = x_new[good[accept]]
-                x[grows[accept]] = xn
-                limit = ABSTOL_V + RELTOL * np.max(
-                    np.abs(xn[:, :nv]), axis=1)
-                conv = step[accept] <= limit
-                done = grows[accept][conv]
-                out[done] = 0
-                iters[done] = iteration
-        out[out == -1] = 1  # iteration cap: next strategy takes over
-        return x, iters, out
+                    self._dc_spec(key, swaps[sel[0]]), vals[grp],
+                    None if mats is None else mats[grp], rhs, sel,
+                    quantities, x_new, solved)
+            return x_new, solved
+
+        return solve
 
     def _assemble_and_solve(self, spec: _SigSpec, base_vals: np.ndarray,
                             base_mats: Optional[np.ndarray],
@@ -993,9 +837,9 @@ class SampleBatchPlan:
                             solved: np.ndarray) -> None:
         """Assemble and solve the group's linear systems into
         ``x_new[local_rows]``.  ``base_vals``/``base_mats`` are the
-        group's freshly-gathered per-sample linear bases (matching the
-        stage's gmin; ``base_mats`` is mutated in place) and ``base_rhs``
-        the stage's source rhs.  Samples whose solve fails are flagged in
+        group's gathered copies of the stage's linear bases
+        (``base_mats`` is mutated in place) and ``base_rhs`` the stage's
+        source rhs.  Samples whose solve fails are flagged in
         ``solved`` for the fallback."""
         k = local_rows.size
         size = self.layout.size
@@ -1059,7 +903,7 @@ class SampleBatchPlan:
         rows = np.nonzero(ok)[0]
         fin = {"rows": rows}
         if rows.size:
-            quantities = self._eval_mosfets_rows(x[rows], rows)
+            quantities = self._eval_mosfets(x[rows], rows)
             cgs = np.empty((rows.size, self.n_mos))
             cgd = np.empty((rows.size, self.n_mos))
             for mp in self.mosfets:

@@ -20,13 +20,27 @@ a single sample.  A bad warm start can only cost iterations, never
 correctness: the cold chain below it is exactly the chain that runs when
 no ``x0`` is supplied.
 
+The solve is written once, over a ``(rows, n)`` state whose rows never
+interact: :func:`newton_stage` is the damped-Newton rule with per-row
+outcomes and :func:`homotopy_chain` carries each row through the
+strategies above on its own.  Both are driven by a kernel factory
+``stage(rows, gmin, scale)`` returning ``solve(x, active) -> (x_new,
+solved)``.  :func:`solve_dc` runs the chain at one row with the
+device-stamp kernel (:func:`device_stage`);
+:class:`repro.circuit.batch.SampleBatchPlan` runs it over a chunk of
+Monte-Carlo samples with its grouped-signature kernel, and the transient
+step (:mod:`repro.circuit.transient`) runs the Newton stage with a
+companion-model kernel.  Scalar and batched solves therefore agree by
+construction.
+
 :class:`WarmStartCache` is the bounded anchor store the evaluation layer
 uses to key warm starts on quantized ``(d, theta)`` cells.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+import logging
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +49,20 @@ from .devices import Isource, Vsource, _voltage
 from .linsolve import resolve_backend
 from .netlist import Circuit, MnaLayout
 
+_LOG = logging.getLogger(__name__)
+
 #: Final shunt conductance left on every node, as in SPICE.
 GMIN_FINAL = 1e-12
 
 #: Gmin-stepping homotopy: start conductance and geometric relaxation
 #: factor.  The schedule values are *products* of repeated multiplication
 #: (see :func:`gmin_schedule`), which is not bitwise the same as the
-#: round literals — both the serial and the batched solver must iterate
-#: the shared generator so they cannot drift.
+#: round literals.
 GMIN_START = 1e-2
 GMIN_FACTOR = 1e-2
 
-#: Source-stepping homotopy ramp, shared by the serial and batched
-#: solvers.  Every independent source is scaled by each value in turn.
+#: Source-stepping homotopy ramp: every independent source is scaled by
+#: each value in turn.
 SOURCE_SCALES = (0.1, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0)
 
 #: Absolute/relative Newton convergence tolerances on the update step.
@@ -60,15 +75,18 @@ MAX_ITERATIONS = 120
 #: Voltage-step damping limit per Newton iteration [V].
 MAX_STEP_V = 0.6
 
+#: Per-row outcomes of :func:`newton_stage`: converged; a non-finite
+#: update or the iteration cap (the next strategy takes the row); a
+#: singular matrix (the caller's fallback takes the row).
+CONVERGED, ESCALATE, SINGULAR = 0, 1, 2
+
 
 def gmin_schedule() -> Iterator[float]:
     """The gmin-stepping conductance schedule, ending on ``GMIN_FINAL``.
 
     Yields ``GMIN_START`` relaxed geometrically by ``GMIN_FACTOR`` while
     above ``GMIN_FINAL``, then ``GMIN_FINAL`` itself for the finishing
-    solve.  Serial gmin stepping and the lockstep batched homotopy both
-    iterate this generator, so the stage conductances are bitwise
-    identical by construction.
+    solve.
     """
     gmin = GMIN_START
     while gmin >= GMIN_FINAL:
@@ -142,71 +160,172 @@ class DCResult:
         raise KeyError(f"no device named {source_name!r}")
 
 
-def _newton(circuit: Circuit, layout: MnaLayout, x0: np.ndarray,
-            gmin: float, backend) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration; raises ConvergenceError on failure.
+def newton_stage(stage: Callable, rows: np.ndarray, x0: np.ndarray,
+                 n_nodes: int, gmin: float = GMIN_FINAL,
+                 scale: Optional[float] = None,
+                 max_iterations: Optional[int] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on the ``(len(rows), n)`` state ``x0`` at one
+    ``(gmin, scale)`` point of the homotopy.
 
-    The linear-solve kernel comes from ``backend``
-    (:mod:`repro.circuit.linsolve`): the backend's DC system stamps the
-    linear devices and the gmin diagonal once, then each iteration
-    re-stamps only the nonlinear devices and solves — densely via LAPACK
-    or sparsely via a pattern-cached ``splu`` factorization.
+    ``stage(rows, gmin, scale)`` builds the stage's kernel
+    ``solve(x, active) -> (x_new, solved)``: ``active`` holds the
+    positions in ``rows`` still iterating and ``x`` their states; the
+    kernel returns their Newton updates and a mask that is False where a
+    row's matrix was singular (``None``: every row solved).  Each row is
+    damped and tested on its own, so its bits, iteration count and
+    outcome never depend on the other rows.
+
+    Returns ``(x, iterations, outcome)`` aligned with ``rows``; a row
+    that did not converge keeps its last finite iterate.  The outcome
+    is :data:`CONVERGED`, :data:`ESCALATE` (a non-finite update, or
+    ``max_iterations`` — default :data:`MAX_ITERATIONS` — spent) or
+    :data:`SINGULAR`.
     """
-    x = x0.copy()
-    system = backend.dc_system(circuit, layout, gmin)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        x_new = system.solve_at(x)
-        if not np.all(np.isfinite(x_new)):
-            raise ConvergenceError(
-                f"non-finite Newton update in circuit {circuit.title!r}")
-        delta = x_new - x
+    solve = stage(rows, gmin, scale)
+    cap = MAX_ITERATIONS if max_iterations is None else max_iterations
+    x = np.array(x0, dtype=float)
+    iterations = np.zeros(len(x), dtype=int)
+    outcome = np.full(len(x), ESCALATE, dtype=np.int8)
+    active = np.arange(len(x))
+    xa = x  # states of the active rows
+    nv = n_nodes
+    for iteration in range(1, cap + 1):
+        if not active.size:
+            break
+        x_new, solved = solve(xa, active)
+        if not np.isfinite(x_new).all() \
+                or solved is not None and not solved.all():
+            ok = np.isfinite(x_new).all(axis=1)
+            if solved is not None:
+                outcome[active[~solved]] = SINGULAR
+                ok &= solved
+            x[active[~ok]] = xa[~ok]
+            active, xa, x_new = active[ok], xa[ok], x_new[ok]
+        delta = x_new - xa
         # Damp only the node-voltage part; branch currents may legitimately
         # jump by large amounts.
-        nv = layout.n_nodes
-        step = np.max(np.abs(delta[:nv])) if nv else 0.0
-        if step > MAX_STEP_V:
-            x = x + delta * (MAX_STEP_V / step)
-            continue
-        x = x_new
-        if nv == 0:
+        if nv:
+            step = np.abs(delta[:, :nv]).max(axis=1)
+            converged = step <= ABSTOL_V + RELTOL * np.abs(
+                x_new[:, :nv]).max(axis=1)
+        else:
             # No node voltages to test: any undamped step is converged
             # (branch-current-only systems are linear in practice).
-            return x, iteration
-        if step <= ABSTOL_V + RELTOL * np.max(np.abs(x[:nv])):
-            return x, iteration
-    raise ConvergenceError(
-        f"Newton did not converge in {MAX_ITERATIONS} iterations "
-        f"(circuit {circuit.title!r}, gmin={gmin:g})")
+            step = np.zeros(active.size)
+            converged = np.ones(active.size, dtype=bool)
+        damped = step > MAX_STEP_V
+        if damped.any():
+            factor = MAX_STEP_V / np.maximum(step, MAX_STEP_V)
+            x_new = np.where(damped[:, None], xa + delta * factor[:, None],
+                             x_new)
+            converged &= ~damped
+        xa = x_new
+        if converged.any():
+            done = active[converged]
+            x[done] = xa[converged]
+            outcome[done] = CONVERGED
+            iterations[done] = iteration
+            active, xa = active[~converged], xa[~converged]
+    x[active] = xa
+    return x, iterations, outcome
 
 
-def _gmin_stepping(circuit: Circuit, layout: MnaLayout,
-                   x0: np.ndarray, backend) -> tuple[np.ndarray, int]:
-    x = x0.copy()
-    total = 0
-    for gmin in gmin_schedule():
-        x, iters = _newton(circuit, layout, x, gmin, backend)
-        total += iters
-    return x, total
+def homotopy_chain(stage: Callable, n_rows: int, size: int, n_nodes: int,
+                   x0: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray, List[Optional[str]]]:
+    """Carry ``n_rows`` independent rows through the strategy chain.
+
+    Warm Newton from ``x0`` (shape ``(n_rows, size)``; skipped when
+    ``None``), Newton from zero, gmin stepping over
+    :func:`gmin_schedule` and source stepping over
+    :data:`SOURCE_SCALES`; every (sub-)stage is one :func:`newton_stage`
+    with the kernel factory ``stage``.  Within a stepping homotopy a
+    row's ``x`` and iteration total carry across sub-stages.  A row that
+    escalates out of any (sub-)stage restarts the next strategy from
+    zero; a row that meets a singular matrix leaves the chain for the
+    caller's fallback.  Every escalation is logged at DEBUG level.
+
+    Returns ``(x, iterations, strategy)``: ``strategy[r]`` labels the
+    strategy that solved row ``r``, or is ``None`` (singular matrix or
+    every strategy exhausted; ``x`` and ``iterations`` stay 0).
+    """
+    chain = [("newton", None, ((GMIN_FINAL, None),)),
+             ("gmin-stepping", None,
+              ((gmin, None) for gmin in gmin_schedule())),
+             ("source-stepping", None,
+              ((GMIN_FINAL, scale) for scale in SOURCE_SCALES))]
+    if x0 is not None:
+        chain.insert(0, ("newton-warm", x0, ((GMIN_FINAL, None),)))
+    x_out = np.zeros((n_rows, size))
+    iterations = np.zeros(n_rows, dtype=int)
+    strategy: List[Optional[str]] = [None] * n_rows
+    pending = np.arange(n_rows)
+    for position, (label, start, points) in enumerate(chain):
+        if pending.size == 0:
+            break
+        rows = pending
+        x = np.zeros((rows.size, size)) if start is None else start
+        total = np.zeros(rows.size, dtype=int)
+        escalated = []
+        singular = 0
+        for gmin, scale in points:
+            x, its, outcome = newton_stage(stage, rows, x, n_nodes, gmin,
+                                           scale)
+            total += its
+            keep = outcome == CONVERGED
+            if not keep.all():
+                escalated.append(rows[outcome == ESCALATE])
+                singular += int(np.count_nonzero(outcome == SINGULAR))
+                rows, x, total = rows[keep], x[keep], total[keep]
+            if rows.size == 0:
+                break
+        x_out[rows] = x
+        iterations[rows] = total
+        for row in rows:
+            strategy[row] = label
+        pending = np.sort(np.concatenate(escalated)) if escalated \
+            else rows[:0]
+        if singular:
+            _LOG.debug("DC homotopy: %d row(s) leave %s on a singular "
+                       "matrix", singular, label)
+        if pending.size and position + 1 < len(chain):
+            _LOG.debug("DC homotopy: %d row(s) escalate from %s to %s",
+                       pending.size, label, chain[position + 1][0])
+        elif pending.size:
+            _LOG.debug("DC homotopy: %d row(s) exhausted the chain at %s",
+                       pending.size, label)
+    return x_out, iterations, strategy
 
 
-def _source_stepping(circuit: Circuit, layout: MnaLayout,
-                     x0: np.ndarray, backend) -> tuple[np.ndarray, int]:
-    sources = [d for d in circuit.devices if isinstance(d, (Vsource, Isource))]
-    x = x0.copy()
-    total = 0
-    saved = [src.scale for src in sources]
-    try:
-        for scale in SOURCE_SCALES:
+def device_stage(circuit: Circuit, layout: MnaLayout, backend) -> Callable:
+    """The device-stamp kernel factory of :func:`solve_dc` (one row).
+
+    Each stage builds one ``backend.dc_system``
+    (:mod:`repro.circuit.linsolve`), which stamps the linear devices and
+    the gmin diagonal once; every Newton iteration then re-stamps only
+    the nonlinear devices and solves — densely via LAPACK or sparsely
+    via a pattern-cached factorization.  A source-stepping ``scale``
+    applies to every independent source only while that system is
+    stamped (sources are linear), and the caller's scales are restored
+    afterwards.  A singular matrix raises :class:`SingularMatrixError`
+    straight out.
+    """
+    def stage(rows, gmin, scale):
+        sources = [] if scale is None else [
+            dev for dev in circuit.devices
+            if isinstance(dev, (Vsource, Isource))]
+        saved = [src.scale for src in sources]
+        try:
             for src in sources:
                 src.scale = scale
-            x, iters = _newton(circuit, layout, x, GMIN_FINAL, backend)
-            total += iters
-    finally:
-        # Restore the pre-call scales (not a hardcoded 1.0) so a caller
-        # that legitimately runs with scaled sources is not clobbered.
-        for src, scale in zip(sources, saved):
-            src.scale = scale
-    return x, total
+            system = backend.dc_system(circuit, layout, gmin)
+        finally:
+            for src, kept in zip(sources, saved):
+                src.scale = kept
+        return lambda x, active: (system.solve_at(x[0])[None], None)
+
+    return stage
 
 
 def solve_dc(circuit: Circuit, temp_c: float = 27.0,
@@ -234,39 +353,22 @@ def solve_dc(circuit: Circuit, temp_c: float = 27.0,
     backend = resolve_backend(backend, layout.n_nodes)
     for dev in circuit.devices:
         dev.prepare(temp_c)
-
-    strategies = []
+    warm = None
     if x0 is not None and len(x0) == layout.size \
             and np.all(np.isfinite(x0)):
-        warm = np.asarray(x0, dtype=float).copy()
-        strategies.append(
-            ("newton-warm", lambda: _newton(circuit, layout, warm,
-                                            GMIN_FINAL, backend)))
-    strategies += [
-        ("newton", lambda: _newton(circuit, layout,
-                                   np.zeros(layout.size), GMIN_FINAL,
-                                   backend)),
-        ("gmin-stepping", lambda: _gmin_stepping(circuit, layout,
-                                                 np.zeros(layout.size),
-                                                 backend)),
-        ("source-stepping", lambda: _source_stepping(circuit, layout,
-                                                     np.zeros(layout.size),
-                                                     backend)),
-    ]
-    last_error: Optional[Exception] = None
-    for label, run in strategies:
-        try:
-            x, iterations = run()
-            if effort is not None:
-                effort.count(label)
-            return DCResult(circuit, layout, x, temp_c, iterations, label)
-        except ConvergenceError as exc:
-            last_error = exc
+        warm = np.asarray(x0, dtype=float)[None, :]
+    x, iterations, strategy = homotopy_chain(
+        device_stage(circuit, layout, backend), 1, layout.size,
+        layout.n_nodes, warm)
+    label = strategy[0]
     if effort is not None:
-        effort.count("failed")
-    raise ConvergenceError(
-        f"all DC strategies failed for circuit {circuit.title!r}: "
-        f"{last_error}")
+        effort.count(label or "failed")
+    if label is None:
+        raise ConvergenceError(
+            f"all DC strategies failed for circuit {circuit.title!r}: "
+            f"every homotopy met a non-finite Newton update or the "
+            f"{MAX_ITERATIONS}-iteration cap")
+    return DCResult(circuit, layout, x[0], temp_c, int(iterations[0]), label)
 
 
 class DcEffort:

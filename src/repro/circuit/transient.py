@@ -1,11 +1,13 @@
 """Transient analysis with the backward-Euler method.
 
-Each accepted time step solves the nonlinear circuit with Newton, using the
-reactive devices' backward-Euler companion models.  MOS intrinsic
-capacitances are attached as *fixed* linear capacitors evaluated at the
-initial operating point — sufficient for the large-signal slew/settling
-measurements this library performs, where the explicit load and
-compensation capacitors dominate.
+Each accepted time step solves the nonlinear circuit with the DC solver's
+damped-Newton stage (:func:`repro.circuit.dc.newton_stage`, one row, at
+most ``_MAX_NEWTON`` iterations), using the reactive devices'
+backward-Euler companion models; a non-finite update fails the step at
+once.  MOS intrinsic capacitances are attached as *fixed* linear
+capacitors evaluated at the initial operating point — sufficient for the
+large-signal slew/settling measurements this library performs, where the
+explicit load and compensation capacitors dominate.
 
 Backward Euler is unconditionally stable and slightly lossy; step sizes are
 chosen by the caller (helpers compute sensible defaults from the requested
@@ -14,12 +16,12 @@ stop time).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..errors import ConvergenceError, ExtractionError, SingularMatrixError
-from .dc import ABSTOL_V, GMIN_FINAL, MAX_STEP_V, RELTOL, DCResult, solve_dc
+from .dc import CONVERGED, DCResult, newton_stage, solve_dc
 from .devices import Stamper, _voltage
 from .netlist import Circuit
 
@@ -101,33 +103,36 @@ class _MosCapCompanion:
 def _newton_step(circuit: Circuit, layout, x0: np.ndarray,
                  states: List[dict], caps: List[_MosCapCompanion],
                  h: float, t: float) -> np.ndarray:
-    x = x0.copy()
-    for _ in range(_MAX_NEWTON):
-        st = Stamper(layout.size)
-        for dev, nodes, branches, state in zip(circuit.devices,
-                                               layout.device_nodes,
-                                               layout.device_branches,
-                                               states):
-            dev.stamp_tran(st, x, nodes, branches, state, h, t)
-        for cap in caps:
-            cap.stamp(st, h)
-        diag = np.arange(layout.n_nodes)
-        st.matrix[diag, diag] += GMIN_FINAL
-        try:
-            x_new = np.linalg.solve(st.matrix, st.rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"singular transient matrix at t={t:g}: {exc}") from exc
-        delta = x_new - x
-        nv = layout.n_nodes
-        step = float(np.max(np.abs(delta[:nv]))) if nv else 0.0
-        if step > MAX_STEP_V:
-            x = x + delta * (MAX_STEP_V / step)
-            continue
-        x = x_new
-        if step <= ABSTOL_V + RELTOL * float(np.max(np.abs(x[:nv]))):
-            return x
-    raise ConvergenceError(f"transient Newton failed at t={t:g}")
+    """One backward-Euler step: the shared damped-Newton stage
+    (:func:`repro.circuit.dc.newton_stage`) at one row, with a kernel
+    that stamps the companion models and solves densely."""
+    def stage(rows, gmin, scale):
+        def solve(x, active):
+            st = Stamper(layout.size)
+            for dev, nodes, branches, state in zip(circuit.devices,
+                                                   layout.device_nodes,
+                                                   layout.device_branches,
+                                                   states):
+                dev.stamp_tran(st, x[0], nodes, branches, state, h, t)
+            for cap in caps:
+                cap.stamp(st, h)
+            diag = np.arange(layout.n_nodes)
+            st.matrix[diag, diag] += gmin
+            try:
+                x_new = np.linalg.solve(st.matrix, st.rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(
+                    f"singular transient matrix at t={t:g}: {exc}") from exc
+            return x_new[None], None
+
+        return solve
+
+    x, _, outcome = newton_stage(stage, np.zeros(1, dtype=np.intp),
+                                 x0[None], layout.n_nodes,
+                                 max_iterations=_MAX_NEWTON)
+    if outcome[0] != CONVERGED:
+        raise ConvergenceError(f"transient Newton failed at t={t:g}")
+    return x[0]
 
 
 def solve_transient(circuit: Circuit, t_stop: float, dt: float,

@@ -25,9 +25,9 @@ import repro.circuit.batch as batch_module
 import repro.circuit.dc as dc_module
 from repro.circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
                                  probe_maps)
-from repro.circuit.dc import (GMIN_FINAL, SOURCE_SCALES, _newton, solve_dc,
-                              gmin_schedule)
-from repro.circuit.devices import Isource, Vsource
+from repro.circuit.dc import (CONVERGED, GMIN_FINAL, SOURCE_SCALES,
+                              device_stage, gmin_schedule, newton_stage,
+                              solve_dc)
 from repro.circuit.linsolve import resolve_backend
 from repro.circuits import CIRCUITS
 from repro.circuits.base import DEFAULT_BATCH_SAMPLES, _ProbeGlobals
@@ -368,10 +368,9 @@ def _cold_parity_case(name, n, seed, batch_samples):
 
 
 def _patch_iteration_caps(monkeypatch, cap):
-    """Shrink the per-stage Newton budget in *both* solver modules (the
-    batched module binds the name at import time)."""
+    """Shrink the per-stage Newton budget of the shared DC driver (one
+    module serves the scalar and the batched solver)."""
     monkeypatch.setattr(dc_module, "MAX_ITERATIONS", cap)
-    monkeypatch.setattr(batch_module, "MAX_ITERATIONS", cap)
 
 
 def _cold_fixture(name, n, seed):
@@ -412,8 +411,31 @@ class TestColdChainParity:
                           batch_samples=3)
 
 
+def _substage_parity(plan, circuits, t, points):
+    """Run the batched kernel and each sample's device-stamp kernel
+    through the same Newton stage at every ``(gmin, scale)`` point,
+    carrying ``x`` across points, and assert bitwise states and exact
+    per-sub-stage iteration counts."""
+    rows = np.arange(len(circuits), dtype=np.intp)
+    nv = plan.layout.n_nodes
+    xb = np.zeros((len(circuits), plan.layout.size))
+    backend = resolve_backend(t.linsolve, nv)
+    stages = [device_stage(c, c.layout(), backend) for c in circuits]
+    xs = [np.zeros((1, c.layout().size)) for c in circuits]
+    for gmin, scale in points:
+        xb, its, out = newton_stage(plan._stage, rows, xb, nv, gmin, scale)
+        assert np.all(out == CONVERGED)
+        for k, stage in enumerate(stages):
+            xs[k], ref_iters, ref_out = newton_stage(
+                stage, rows[:1], xs[k], nv, gmin, scale)
+            assert ref_out[0] == CONVERGED
+            assert its[k] == ref_iters[0], f"{gmin:g}/{scale} sample {k}"
+            assert np.array_equal(xb[k], xs[k][0]), \
+                f"{gmin:g}/{scale} sample {k}"
+
+
 class TestLockstepColdKernels:
-    """Drive ``SampleBatchPlan.solve`` and its stage kernels directly
+    """Drive ``SampleBatchPlan.solve`` and its stage kernel directly
     against the serial solver, asserting bitwise solutions, matching
     strategy labels and exact per-(sub)stage iteration counts."""
 
@@ -429,52 +451,19 @@ class TestLockstepColdKernels:
 
     def test_gmin_substage_iteration_parity(self):
         t, plan, circuits, theta = _cold_fixture("miller", n=3, seed=5)
-        rows = np.arange(len(circuits), dtype=np.intp)
-        size = plan.layout.size
-        xb = np.zeros((len(circuits), size))
-        backend = resolve_backend(t.linsolve, plan.layout.n_nodes)
-        layouts = [c.layout() for c in circuits]
-        xs = [np.zeros(layout.size) for layout in layouts]
-        for gmin in gmin_schedule():
-            xb, its, out = plan._newton_stage(rows, xb, gmin,
-                                              plan._dc_base_rhs)
-            assert np.all(out == 0)
-            for k, c in enumerate(circuits):
-                xs[k], ref_iters = _newton(c, layouts[k], xs[k], gmin,
-                                           backend)
-                assert its[k] == ref_iters, f"gmin={gmin:g} sample {k}"
-                assert np.array_equal(xb[k], xs[k]), \
-                    f"gmin={gmin:g} sample {k}"
+        _substage_parity(plan, circuits, t,
+                         [(gmin, None) for gmin in gmin_schedule()])
 
     def test_source_substage_iteration_parity(self):
         t, plan, circuits, theta = _cold_fixture("miller", n=3, seed=5)
-        rows = np.arange(len(circuits), dtype=np.intp)
-        size = plan.layout.size
-        xb = np.zeros((len(circuits), size))
-        backend = resolve_backend(t.linsolve, plan.layout.n_nodes)
-        layouts = [c.layout() for c in circuits]
-        xs = [np.zeros(layout.size) for layout in layouts]
-        sources = [[dev for dev in c.devices
-                    if isinstance(dev, (Vsource, Isource))]
-                   for c in circuits]
-        for scale in SOURCE_SCALES:
-            xb, its, out = plan._newton_stage(rows, xb, GMIN_FINAL,
-                                              plan._scaled_rhs(scale))
-            assert np.all(out == 0)
-            for k, c in enumerate(circuits):
-                for src in sources[k]:
-                    src.scale = scale
-                xs[k], ref_iters = _newton(c, layouts[k], xs[k],
-                                           GMIN_FINAL, backend)
-                assert its[k] == ref_iters, f"scale={scale} sample {k}"
-                assert np.array_equal(xb[k], xs[k]), \
-                    f"scale={scale} sample {k}"
+        _substage_parity(plan, circuits, t,
+                         [(GMIN_FINAL, scale) for scale in SOURCE_SCALES])
 
-    def test_capped_newton_routes_to_gmin_stepping(self, monkeypatch):
+    @staticmethod
+    def _capped_fixture(monkeypatch):
         # The folded-cascode nominal row needs 15 cold Newton iterations;
         # capping at 14 forces cold Newton to fail while every gmin
-        # sub-stage still fits, so the chain's second homotopy wins — on
-        # both paths, with identical totals and bits.
+        # sub-stage still fits.
         _patch_iteration_caps(monkeypatch, 14)
         t, plan, circuits, theta = _cold_fixture("folded-cascode",
                                                  n=3, seed=7)
@@ -487,6 +476,12 @@ class TestLockstepColdKernels:
         plan.set_samples(
             [pvs[0]] + [t.statistical_space.to_physical(
                 t.initial_design(), r) for r in _rows(t, 3, 7)])
+        return t, plan, circuits, theta
+
+    def test_capped_newton_routes_to_gmin_stepping(self, monkeypatch):
+        # With Newton capped, the chain's second homotopy wins — on both
+        # paths, with identical totals and bits.
+        t, plan, circuits, theta = self._capped_fixture(monkeypatch)
         x, iters, ok, strategy = plan.solve(None)
         assert strategy[0] == "gmin-stepping"
         for k, c in enumerate(circuits):
@@ -503,6 +498,35 @@ class TestLockstepColdKernels:
             assert strategy[k] == ref.strategy
             assert iters[k] == ref.iterations
             assert np.array_equal(x[k], ref.x)
+
+    def test_escalations_logged_on_both_paths(self, monkeypatch, caplog):
+        # One DEBUG record per stage the rows leave: the batched chunk
+        # logs the summed row counts of the per-sample scalar solves.
+        t, plan, circuits, theta = self._capped_fixture(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="repro.circuit.dc")
+
+        def escalations():
+            found = {}
+            for record in caplog.records:
+                if record.name == "repro.circuit.dc":
+                    count, *labels = record.args
+                    found[tuple(labels)] = found.get(tuple(labels), 0) \
+                        + count
+            caplog.clear()
+            return found
+
+        plan.solve(None)
+        batched = escalations()
+        scalar = {}
+        for c in circuits:
+            try:
+                solve_dc(c, temp_c=theta["temp"], backend=t.linsolve)
+            except ConvergenceError:
+                pass
+            for labels, count in escalations().items():
+                scalar[labels] = scalar.get(labels, 0) + count
+        assert batched[("newton", "gmin-stepping")] >= 1
+        assert batched == scalar
 
 
 class TestColdFaultClassificationParity:

@@ -1,13 +1,18 @@
 """Unit tests for the DC operating-point solver (repro.circuit.dc)."""
 
+import logging
+from typing import FrozenSet, List, NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.circuit.dc as dc_module
 from repro.circuit import Circuit, solve_dc
-from repro.circuit.dc import (DcEffort, GMIN_FACTOR, GMIN_FINAL, GMIN_START,
-                              SOURCE_SCALES, _newton, _source_stepping,
-                              gmin_schedule)
+from repro.circuit.dc import (CONVERGED, DcEffort, GMIN_FACTOR, GMIN_FINAL,
+                              GMIN_START, SOURCE_SCALES, device_stage,
+                              gmin_schedule, homotopy_chain, newton_stage)
 from repro.circuit.devices import Isource, Vsource
 from repro.circuit.linsolve import resolve_backend
 from repro.errors import ConvergenceError, SingularMatrixError
@@ -199,20 +204,29 @@ class _StubBackend:
         return _StubSystem(self._x_star)
 
 
+def _stub_stage_newton(layout, x_star):
+    """One Newton stage of the device-stamp kernel over a stub backend
+    whose linear solve always returns ``x_star``."""
+    stage = device_stage(Circuit("stub"), layout, _StubBackend(x_star))
+    x, iterations, outcome = newton_stage(
+        stage, np.zeros(1, dtype=np.intp), np.zeros((1, layout.size)),
+        layout.n_nodes)
+    assert outcome[0] == CONVERGED
+    return x[0], iterations[0]
+
+
 class TestNewtonConvergenceBranches:
     """Regression tests for the two explicit convergence branches of
-    ``_newton``: the degenerate no-node-voltages case returns on the
-    first accepted step, and the normal case tests the damped step
-    against the absolute/relative tolerance."""
+    the damped-Newton stage: the degenerate no-node-voltages case
+    returns on the first accepted step, and the normal case tests the
+    damped step against the absolute/relative tolerance."""
 
     def test_no_node_voltages_converges_on_first_accepted_step(self):
         # nv == 0: the whole state is branch currents, the damping test
         # is vacuous (step = 0.0) and any finite solve is converged —
         # even one that jumps far from x0.
-        layout = _StubLayout(n_nodes=0, size=2)
-        circuit = Circuit("branch-only-stub")
-        x, iterations = _newton(circuit, layout, np.zeros(2), GMIN_FINAL,
-                                _StubBackend([5.0, -3.0]))
+        x, iterations = _stub_stage_newton(_StubLayout(n_nodes=0, size=2),
+                                           [5.0, -3.0])
         assert iterations == 1
         assert np.array_equal(x, [5.0, -3.0])
 
@@ -220,10 +234,8 @@ class TestNewtonConvergenceBranches:
         # nv > 0 with a fixed point inside the damping limit: iteration 1
         # accepts the full step (|delta| = 0.5 > tolerance, so it does
         # not converge yet); iteration 2 has delta = 0 and converges.
-        layout = _StubLayout(n_nodes=1, size=1)
-        circuit = Circuit("one-node-stub")
-        x, iterations = _newton(circuit, layout, np.zeros(1), GMIN_FINAL,
-                                _StubBackend([0.5]))
+        x, iterations = _stub_stage_newton(_StubLayout(n_nodes=1, size=1),
+                                           [0.5])
         assert iterations == 2
         assert np.array_equal(x, [0.5])
 
@@ -240,39 +252,72 @@ class TestGminSchedule:
         assert values[1] == GMIN_START * GMIN_FACTOR
 
 
+class _ScaleRecordingBackend:
+    """The real backend, recording the sources' scale at every stamp;
+    ``fail`` makes every stamp raise after recording."""
+
+    def __init__(self, n_nodes, fail=False):
+        self._backend = resolve_backend(None, n_nodes)
+        self.fail = fail
+        self.seen = []
+
+    def dc_system(self, circuit, layout, gmin):
+        self.seen.append([dev.scale for dev in circuit.devices
+                          if isinstance(dev, (Vsource, Isource))][0])
+        if self.fail:
+            raise RuntimeError("stamp failure")
+        return self._backend.dc_system(circuit, layout, gmin)
+
+
 class TestSourceStepping:
     def _diode_circuit(self):
         c = Circuit("diode")
         c.vsource("VDD", "vdd", "0", dc=3.3)
         c.resistor("R1", "vdd", "d", 100e3)
         c.mosfet("M1", "d", "d", "0", "0", NMOS, w=20e-6, l=1e-6)
+        for dev in c.devices:
+            dev.prepare(27.0)
         return c
 
     def test_restores_caller_scales_on_success(self):
+        # Newton and gmin stepping are forced to escalate (non-finite
+        # updates), so source stepping wins the chain: every sub-stage
+        # stamps at its ramp scale and the caller's scale survives.
         c = self._diode_circuit()
         layout = c.layout()
-        backend = resolve_backend(None, layout.n_nodes)
-        for dev in c.devices:
-            dev.prepare(27.0)
-        sources = [d for d in c.devices
-                   if isinstance(d, (Vsource, Isource))]
-        sources[0].scale = 0.25
-        _source_stepping(c, layout, np.zeros(layout.size), backend)
-        assert sources[0].scale == 0.25
+        backend = _ScaleRecordingBackend(layout.n_nodes)
+        stage = device_stage(c, layout, backend)
+
+        def stepping_only(rows, gmin, scale):
+            if scale is None:
+                return lambda x, active: (np.full_like(x, np.nan), None)
+            return stage(rows, gmin, scale)
+
+        c.devices[0].scale = 0.25
+        x, iterations, strategy = homotopy_chain(
+            stepping_only, 1, layout.size, layout.n_nodes)
+        assert strategy == ["source-stepping"]
+        assert backend.seen == list(SOURCE_SCALES)
+        assert c.devices[0].scale == 0.25
+        # The ramp ends at full scale, whatever the caller's scale.
+        assert x[0][0] == pytest.approx(3.3)
 
     def test_restores_caller_scales_on_failure(self, monkeypatch):
         c = self._diode_circuit()
-        layout = c.layout()
-        backend = resolve_backend(None, layout.n_nodes)
-        for dev in c.devices:
-            dev.prepare(27.0)
-        sources = [d for d in c.devices
-                   if isinstance(d, (Vsource, Isource))]
-        sources[0].scale = 0.75
+        c.devices[0].scale = 0.75
         monkeypatch.setattr(dc_module, "MAX_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            _source_stepping(c, layout, np.zeros(layout.size), backend)
-        assert sources[0].scale == 0.75
+            solve_dc(c)
+        assert c.devices[0].scale == 0.75
+        # A stamp that raises while the ramp scale is applied restores
+        # the caller's scale too.
+        layout = c.layout()
+        backend = _ScaleRecordingBackend(layout.n_nodes, fail=True)
+        with pytest.raises(RuntimeError):
+            device_stage(c, layout, backend)(np.zeros(1, dtype=np.intp),
+                                             GMIN_FINAL, SOURCE_SCALES[0])
+        assert backend.seen == [SOURCE_SCALES[0]]
+        assert c.devices[0].scale == 0.75
 
     def test_ramp_ends_at_full_scale(self):
         assert SOURCE_SCALES[-1] == 1.0
@@ -315,3 +360,134 @@ class TestDcEffort:
                          "failed": 0}
         a.clear()
         assert all(v == 0 for v in a.stats().values())
+
+
+class _RowSpec(NamedTuple):
+    target: List[float]
+    start: List[float]
+    rate: float
+    #: numbers (in the order the row enters them) of the stages that fail
+    fail_stages: FrozenSet[int]
+    #: the failing stage's iteration that fails
+    fail_at: int
+    #: fail with ``solved=False`` instead of a NaN update
+    singular: bool
+
+
+class _ContractingRows:
+    """Circuit-free kernel factory: row ``r`` contracts toward its own
+    fixed point (shifted by the stage's gmin and scale) at its own rate.
+    At the stages numbered in its ``fail_stages`` it returns a NaN
+    update, or reports ``solved=False``, at iteration ``fail_at``.  All
+    state is per row, so a row sees the same kernel alone or stacked."""
+
+    def __init__(self, specs):
+        self.specs = specs
+        self.entered = {}
+
+    def __call__(self, rows, gmin, scale):
+        stage_of = {}
+        for r in rows:
+            stage_of[r] = self.entered.get(r, 0)
+            self.entered[r] = stage_of[r] + 1
+        calls = {}
+
+        def solve(x, active):
+            ids = rows[active]
+            specs = [self.specs[r] for r in ids]
+            target = np.array([s.target for s in specs]) \
+                * (1.0 if scale is None else scale) + gmin
+            rate = np.array([s.rate for s in specs])[:, None]
+            x_new = target + rate * (x - target)
+            solved = np.ones(len(ids), dtype=bool)
+            for i, (r, spec) in enumerate(zip(ids, specs)):
+                calls[r] = calls.get(r, 0) + 1
+                if stage_of[r] in spec.fail_stages \
+                        and calls[r] == spec.fail_at:
+                    if spec.singular:
+                        solved[i] = False
+                    else:
+                        x_new[i, spec.fail_at % x.shape[1]] = np.nan
+            return x_new, solved
+
+        return solve
+
+
+@st.composite
+def _row_sets(draw):
+    size = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(0, size))
+    vector = st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)
+    # Starts up to 20 V away: the first updates are damped.
+    far = st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size)
+    # The first few stages a row enters fail, plus a few later ones.
+    fail_stages = st.tuples(
+        st.integers(0, 4), st.frozensets(st.integers(0, 16), max_size=2)
+    ).map(lambda t: frozenset(range(t[0])) | t[1])
+    specs = draw(st.lists(st.builds(
+        _RowSpec, target=vector, start=far, rate=st.floats(0.0, 0.7),
+        fail_stages=fail_stages, fail_at=st.integers(1, 4),
+        singular=st.booleans()), min_size=1, max_size=6))
+    return size, n_nodes, specs
+
+
+class TestDriverRowIndependence:
+    """Rows never interact in the shared driver: stacking K rows gives
+    every row exactly the bits, iteration count and outcome it gets
+    alone.  Scalar/batched parity rests on this property."""
+
+    @given(case=_row_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_newton_stage_rows_match_alone(self, case):
+        size, n_nodes, specs = case
+        x0 = np.array([spec.start for spec in specs])
+        x, its, out = newton_stage(_ContractingRows(dict(enumerate(specs))),
+                                   np.arange(len(specs)), x0, n_nodes)
+        for r, spec in enumerate(specs):
+            x1, its1, out1 = newton_stage(_ContractingRows({0: spec}),
+                                          np.arange(1), x0[r:r + 1],
+                                          n_nodes)
+            assert x[r].tobytes() == x1[0].tobytes()
+            assert (its[r], out[r]) == (its1[0], out1[0])
+            if n_nodes == 0 and out[r] == CONVERGED:
+                # No node voltages: the first accepted step converges.
+                assert its[r] == 1
+
+    @given(case=_row_sets(), warm=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_chain_rows_match_alone(self, case, warm):
+        size, n_nodes, specs = case
+        x0 = np.array([spec.start for spec in specs])
+        x, its, labels = homotopy_chain(
+            _ContractingRows(dict(enumerate(specs))), len(specs), size,
+            n_nodes, x0 if warm else None)
+        for r, spec in enumerate(specs):
+            x1, its1, labels1 = homotopy_chain(
+                _ContractingRows({0: spec}), 1, size, n_nodes,
+                x0[r:r + 1] if warm else None)
+            assert x[r].tobytes() == x1[0].tobytes()
+            assert (its[r], labels[r]) == (its1[0], labels1[0])
+
+    def test_chain_escalation_order_and_log(self, caplog):
+        # Failing the first k stages a row enters lands it on the k-th
+        # strategy of the warm chain; a singular matrix leaves at once.
+        def row(fail_stages, singular=False):
+            return _RowSpec([0.5, -0.25], [0.0, 0.0], 0.5,
+                            frozenset(fail_stages), 1, singular)
+
+        specs = [row([]), row([0]), row([0, 1]), row([0, 1, 2]),
+                 row(range(17)), row([0], singular=True)]
+        caplog.set_level(logging.DEBUG, logger="repro.circuit.dc")
+        x0 = np.zeros((len(specs), 2))
+        _, _, labels = homotopy_chain(
+            _ContractingRows(dict(enumerate(specs))), len(specs), 2, 2, x0)
+        assert labels == ["newton-warm", "newton", "gmin-stepping",
+                          "source-stepping", None, None]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "repro.circuit.dc"] == [
+            "DC homotopy: 1 row(s) leave newton-warm on a singular matrix",
+            "DC homotopy: 4 row(s) escalate from newton-warm to newton",
+            "DC homotopy: 3 row(s) escalate from newton to gmin-stepping",
+            "DC homotopy: 2 row(s) escalate from gmin-stepping to "
+            "source-stepping",
+            "DC homotopy: 1 row(s) exhausted the chain at source-stepping"]

@@ -108,6 +108,31 @@ class TestMosTransient:
         assert np.all(result.voltage("0") == 0.0)
 
 
+class TestTransientNewton:
+    def test_non_finite_update_fails_at_once(self, monkeypatch):
+        """A NaN stamp makes the step's Newton update non-finite: the
+        step fails with ConvergenceError after a single stamping pass
+        instead of spending its whole iteration budget."""
+        from repro.circuit.devices import Capacitor
+        from repro.errors import ConvergenceError
+
+        ckt = Circuit("rc")
+        ckt.vsource("V1", "in", "0", dc=1.0)
+        ckt.resistor("R1", "in", "out", 1e3)
+        ckt.capacitor("C1", "out", "0", 1e-9)
+        op = solve_dc(ckt)
+        passes = []
+
+        def nan_stamp(self, st, x, nodes, branches, state, h, t):
+            passes.append(t)
+            st.add_rhs(nodes[0], float("nan"))
+
+        monkeypatch.setattr(Capacitor, "stamp_tran", nan_stamp)
+        with pytest.raises(ConvergenceError):
+            solve_transient(ckt, t_stop=1e-8, dt=1e-9, op=op)
+        assert len(passes) == 1
+
+
 class TestDegenerateSlew:
     """Degenerate waveforms must raise ExtractionError from slew_rate
     (so fault policies can classify them), never a bare numpy error."""

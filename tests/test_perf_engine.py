@@ -19,9 +19,8 @@ from repro.circuit import Circuit, solve_dc
 from repro.circuit.ac import (AcSystem, SECTION_POINTS,
                               shared_matrix_transfers,
                               unity_gain_frequency)
-from repro.circuit.dc import GMIN_FINAL, WarmStartCache
+from repro.circuit.dc import GMIN_FINAL, WarmStartCache, gmin_schedule
 from repro.circuits.base import WARM_KEY_SIG, _warm_rep
-from repro.errors import ConvergenceError
 from repro.evaluation.evaluator import Evaluator, _quantize
 from repro.evaluation.gradient import (all_gradients_d, all_gradients_s,
                                        performance_gradient_d,
@@ -150,24 +149,33 @@ class TestWarmStartDc:
             assert result.strategy == "newton"
             assert np.array_equal(result.x, cold.x)
 
-    def test_fallback_chain_reaches_gmin_stepping(self, monkeypatch):
+    def test_fallback_chain_reaches_gmin_stepping(self):
         """When both the warm and the cold plain-Newton stages fail, the
         unchanged homotopy chain still solves the circuit."""
-        from repro.circuit import dc as dc_mod
+        from repro.circuit.linsolve import DENSE
         ckt, _ = rc_lowpass()
         reference = solve_dc(ckt)
-        original = dc_mod._newton
-        calls = {"n": 0}
 
-        def flaky(circuit, layout, x0, gmin, backend):
-            calls["n"] += 1
-            if calls["n"] <= 2:  # the newton-warm and newton stages
-                raise ConvergenceError("injected failure")
-            return original(circuit, layout, x0, gmin, backend)
+        class NanSystem:
+            def solve_at(self, x):
+                return np.full_like(x, np.nan)
 
-        monkeypatch.setattr(dc_mod, "_newton", flaky)
-        result = solve_dc(ckt, x0=reference.x)
+        class FlakyBackend:
+            """Non-finite updates for the first two stages (newton-warm
+            and newton), the dense backend afterwards."""
+
+            stages = 0
+
+            def dc_system(self, circuit, layout, gmin):
+                self.stages += 1
+                if self.stages <= 2:
+                    return NanSystem()
+                return DENSE.dc_system(circuit, layout, gmin)
+
+        backend = FlakyBackend()
+        result = solve_dc(ckt, x0=reference.x, backend=backend)
         assert result.strategy == "gmin-stepping"
+        assert backend.stages == 2 + len(list(gmin_schedule()))
         assert np.allclose(result.x, reference.x, atol=1e-6)
 
     def test_warm_cache_fifo_and_negative_caching(self):
