@@ -10,10 +10,11 @@ Run:  python examples/quickstart.py
 
 from repro.circuits import MillerOpamp
 from repro.core import (LinearizedYieldEstimator, build_spec_models,
-                        find_all_worst_case_points, operational_monte_carlo)
+                        find_all_worst_case_points)
 from repro.evaluation import Evaluator
 from repro.spec.operating import find_worst_case_operating_points
 from repro.statistics import SampleSet
+from repro.yieldsim import OperationalMC
 
 
 def main() -> None:
@@ -51,11 +52,11 @@ def main() -> None:
     y_linear = estimator.yield_estimate(d)
     print(f"  Y_bar   (10,000 samples on the linear models, 0 extra "
           f"simulations) = {y_linear * 100:.1f}%")
-    mc = operational_monte_carlo(evaluator, d, theta_wc, n_samples=200,
-                                 seed=7)
+    mc = OperationalMC().estimate(evaluator, d, theta_wc, n_samples=200,
+                                  seed=7)
     print(f"  Y_tilde (200-sample simulation-based Monte Carlo)"
-          f"            = {mc.yield_estimate * 100:.1f}%"
-          f"  (+- {mc.standard_error * 100:.1f}%)")
+          f"            = {mc.estimate * 100:.1f}%"
+          f"  (95% CI {mc.ci_low * 100:.1f}-{mc.ci_high * 100:.1f}%)")
     print(f"\n  bad samples per spec (linear models, permille):")
     for key, fraction in estimator.bad_samples_per_spec(d).items():
         print(f"    {key:>8}: {fraction * 1000:6.1f}")

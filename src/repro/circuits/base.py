@@ -147,15 +147,6 @@ class OpampTemplate(CircuitTemplate):
         #: operating point (set False to force cold homotopy solves, e.g.
         #: for benchmarking)
         self.warm_dc = True
-        #: linearize the anchor operating point along every statistical
-        #: axis (one warm solve per axis, paid once per anchor cell) so the
-        #: warm start is predicted *at the sample* instead of at the
-        #: anchor; cuts another 1-2 Newton iterations per evaluation
-        self.warm_sensitivities = True
-        #: seed a new anchor cell's representative solve from the
-        #: cold-solved representative of its *coarser parent* cell (the
-        #: ROADMAP anchor-of-anchor chain) instead of cold-solving it
-        self.warm_chain = True
         #: linear-solver backend spec for every solve this template runs
         #: ("auto"/"dense"/"sparse"; see :mod:`repro.circuit.linsolve`)
         self.linsolve = "auto"
@@ -184,7 +175,7 @@ class OpampTemplate(CircuitTemplate):
             anchor = self._warm_anchor(d, theta)
             if anchor is not None:
                 x, slopes, ft_hint = anchor
-                x0 = x if slopes is None else x + slopes @ s_hat
+                x0 = x + slopes @ s_hat
         return OpenLoopOpampBench(circuit, out="out", supply_source="VDD",
                                   temp_c=theta["temp"], x0=x0,
                                   ft_hint=ft_hint, linsolve=self.linsolve,
@@ -202,7 +193,7 @@ class OpampTemplate(CircuitTemplate):
         is a pure function of the evaluation point and identical between
         serial and parallel runs.
 
-        ``slopes`` (``n x dim_s``, optional) are unit-sigma secants of the
+        ``slopes`` (``n x dim_s``) are unit-sigma secants of the
         operating point along each statistical axis, so the Newton start
         can be *predicted at the sample*: ``x0 = x + slopes @ s_hat``.
         ``ft`` (optional) is the representative's transit frequency, used
@@ -211,12 +202,12 @@ class OpampTemplate(CircuitTemplate):
         both only seed searches that verify/fall back — a bad prediction
         can cost iterations, never correctness.
 
-        On a cell miss with ``warm_chain`` enabled, the representative is
-        not cold-solved directly: it is Newton-seeded from the
-        cold-solved representative of its *parent* cell — the strictly
-        coarser ``WARM_KEY_SIG - 1`` quantization of the same point — so
-        successive optimizer iterations with nearby ``d`` chain into the
-        same parent anchors instead of cold-solving every new cell.  The
+        On a cell miss the representative is not cold-solved directly:
+        it is Newton-seeded from the cold-solved representative of its
+        *parent* cell — the strictly coarser ``WARM_KEY_SIG - 1``
+        quantization of the same point — so successive optimizer
+        iterations with nearby ``d`` chain into the same parent anchors
+        instead of cold-solving every new cell.  The
         parent key is a deterministic function of the fine key (never of
         solve history), and the seeded solve falls back to the full cold
         homotopy chain, so anchors stay pure functions of their keys:
@@ -238,8 +229,7 @@ class OpampTemplate(CircuitTemplate):
         try:
             pv = space.to_physical(d_rep, space.nominal())
             circuit = self.build(d_rep, pv, theta_rep)
-            x_seed = self._chain_seed(key, d_rep, theta_rep) \
-                if self.warm_chain else None
+            x_seed = self._chain_seed(key, d_rep, theta_rep)
             x = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x_seed,
                          backend=self.linsolve, effort=self._dc_effort).x
             ft = None
@@ -251,9 +241,7 @@ class OpampTemplate(CircuitTemplate):
                 ft = bench.transit_frequency()
             except (AnalysisError, ExtractionError):
                 ft = None
-            slopes = self._anchor_slopes(d_rep, theta_rep, x) \
-                if self.warm_sensitivities else None
-            anchor = (x, slopes, ft)
+            anchor = (x, self._anchor_slopes(d_rep, theta_rep, x), ft)
         except ReproError:
             anchor = None
         self._warm_cache.store(key, anchor)
@@ -305,7 +293,7 @@ class OpampTemplate(CircuitTemplate):
 
     def _anchor_slopes(self, d_rep: Mapping[str, float],
                        theta_rep: Mapping[str, float],
-                       x: np.ndarray) -> Optional[np.ndarray]:
+                       x: np.ndarray) -> np.ndarray:
         """Unit-sigma operating-point secants along each statistical axis
         (one warm solve per axis from the anchor solution).  Axes whose
         perturbed solve fails contribute a zero column — the prediction
@@ -450,7 +438,7 @@ class OpampTemplate(CircuitTemplate):
                     serial.append(i)
                     continue
                 x, slopes, ft_hint = anchor
-                x0 = x if slopes is None else x + slopes @ rows[i]
+                x0 = x + slopes @ rows[i]
                 warm_of[i] = (x0, ft_hint)
                 if len(x0) == size and np.all(np.isfinite(x0)):
                     batched.append(i)

@@ -67,7 +67,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     import json
 
     from .reporting import health_table, optimization_trace_table
-    from .runtime import RunBudget
+    from .runtime import CheckpointError, RunBudget
     from .serve.jobs import (OptimizeRequest, execute_optimize,
                              optimize_artifact)
 
@@ -99,14 +99,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         evaluator = FaultInjectingEvaluator(
             Evaluator(template), rate=args.inject_faults,
             seed=args.fault_seed)
-    result = execute_optimize(
-        request,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        budget=RunBudget(deadline_s=args.deadline,
-                         max_simulations=args.max_sims),
-        evaluator=evaluator,
-        verify_shard=verify_shard)
+    try:
+        result = execute_optimize(
+            request,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            budget=RunBudget(deadline_s=args.deadline,
+                             max_simulations=args.max_sims),
+            evaluator=evaluator,
+            verify_shard=verify_shard)
+    except CheckpointError as exc:
+        raise SystemExit(str(exc))
     if args.out:
         artifact = optimize_artifact(request, result,
                                      command="optimize")
@@ -253,7 +256,10 @@ def cmd_merge_verify(args: argparse.Namespace) -> int:
             json.dump(artifact, handle, indent=2)
     if args.checkpoint:
         from .runtime import splice_merged_result
-        splice_merged_result(args.checkpoint, merged)
+        try:
+            splice_merged_result(args.checkpoint, merged)
+        except ReproError as exc:
+            raise SystemExit(str(exc))
     if args.json:
         print(merged.to_json(indent=2))
         return 0

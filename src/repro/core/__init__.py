@@ -11,9 +11,9 @@
 * :mod:`repro.core.feasible_point`    — feasible starting point (Sec. 5.5),
 * :mod:`repro.core.coordinate_search` — Eq. 19 maximization,
 * :mod:`repro.core.line_search`       — feasibility line search (Eq. 23),
-* :mod:`repro.core.optimizer`         — the full Fig. 6 loop,
-* :mod:`repro.core.montecarlo`        — simulation-based operational yield
-  (Eq. 6-7) used for verification.
+* :mod:`repro.core.optimizer`         — the full Fig. 6 loop (its
+  simulation-based Eq. 6-7 verification runs through
+  :mod:`repro.yieldsim`).
 """
 
 from .constraints import (LinearConstraints, UnconstrainedRegion,
@@ -25,7 +25,6 @@ from .line_search import LineSearchResult, feasibility_line_search
 from .linear_model import SpecLinearModel, build_spec_models, detect_quadratic
 from .mismatch import (PairMismatch, analyze_mismatch, eta_weight,
                        mismatch_measure, phi_window, rank_matching_pairs)
-from .montecarlo import MonteCarloResult, operational_monte_carlo
 from .optimizer import (IterationRecord, OptimizationResult, OptimizerConfig,
                         YieldOptimizer)
 from .wcd_report import (SpecYield, WcdYieldReport, partial_yield,
@@ -36,13 +35,13 @@ from .worst_case import (WorstCaseResult, find_all_worst_case_points,
 __all__ = [
     "CoordinateMaximum", "CoordinateSearchResult", "IterationRecord",
     "LinearConstraints", "LinearizedYieldEstimator", "LineSearchResult",
-    "MonteCarloResult", "OptimizationResult", "OptimizerConfig",
-    "PairMismatch", "SpecLinearModel", "UnconstrainedRegion",
+    "OptimizationResult", "OptimizerConfig", "PairMismatch",
+    "SpecLinearModel", "UnconstrainedRegion",
     "WorstCaseResult", "YieldOptimizer", "analyze_mismatch",
     "build_spec_models", "coordinate_search", "detect_quadratic",
     "eta_weight", "feasibility_line_search", "find_all_worst_case_points",
     "find_feasible_point", "find_worst_case_point", "linearize_constraints",
-    "mismatch_measure", "operational_monte_carlo", "partial_yield",
-    "phi_window", "rank_matching_pairs", "true_feasible", "violation",
+    "mismatch_measure", "partial_yield", "phi_window",
+    "rank_matching_pairs", "true_feasible", "violation",
     "SpecYield", "WcdYieldReport", "wcd_yield_report",
 ]

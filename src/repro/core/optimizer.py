@@ -51,7 +51,7 @@ from ..runtime import (FaultPolicy, FaultTolerantEvaluator,
 from ..spec.operating import find_worst_case_operating_points, spec_key
 from ..statistics.sampling import SampleSet
 from ..yieldsim import (ExecutionConfig, OperationalMC, ShardPlan,
-                        YieldEstimator, YieldResult)
+                        SimulatorHealth, YieldEstimator, YieldResult)
 from .constraints import UnconstrainedRegion, linearize_constraints
 from .coordinate_search import coordinate_search
 from .estimator import LinearizedYieldEstimator
@@ -129,10 +129,8 @@ class IterationRecord:
     yield_linear: float
     #: simulation-based operational yield Y_tilde (None if not verified)
     yield_mc: Optional[float]
-    #: the verifying estimator's full result (a
-    #: :class:`repro.yieldsim.YieldResult`, or a legacy
-    #: :class:`MonteCarloResult` when constructed by older code)
-    mc: Optional[object]
+    #: the verifying estimator's full result (None if not verified)
+    mc: Optional[YieldResult]
     #: worst-case results used in this iteration (mismatch analysis input)
     worst_case: Dict[str, WorstCaseResult]
     #: cumulative simulation counts up to the end of this record
@@ -176,8 +174,7 @@ class OptimizationResult:
     #: total retry-with-jitter attempts issued by the fault policy
     total_retried_evaluations: int = 0
     #: aggregated failure/recovery telemetry of the verification runs
-    #: (a :class:`repro.yieldsim.SimulatorHealth`, None on legacy traces)
-    health: Optional[object] = None
+    health: Optional[SimulatorHealth] = None
     #: shared-pool usage: worker count, tasks dispatched, and whether the
     #: pool died mid-run (timeout/breakage -> serial degradation)
     pool_jobs: int = 1
@@ -475,10 +472,9 @@ class YieldOptimizer:
                     mc0, n0, shrunk0 = self._verify(d_f, theta_wc,
                                                     worst_case=wc)
                     records[0].mc = mc0
-                    records[0].yield_mc = \
-                        mc0.yield_estimate if mc0 else None
+                    records[0].yield_mc = mc0.estimate if mc0 else None
                     records[0].failed_samples = \
-                        getattr(mc0, "failed_samples", 0) if mc0 else 0
+                        mc0.failed_samples if mc0 else 0
                     records[0].verify_samples = n0
                     records[0].verify_shrunk = shrunk0
                     records[0].simulations = evaluator.simulation_count
@@ -528,13 +524,12 @@ class YieldOptimizer:
                     margins=self._margins(d_new, theta_wc_new),
                     bad_samples=estimator.bad_samples_per_spec(d_new),
                     yield_linear=estimator.yield_estimate(d_new),
-                    yield_mc=mc.yield_estimate if mc else None,
+                    yield_mc=mc.estimate if mc else None,
                     mc=mc, worst_case=dict(wc),
                     simulations=evaluator.simulation_count,
                     constraint_simulations=evaluator.constraint_count,
                     gamma=gamma,
-                    failed_samples=getattr(mc, "failed_samples", 0)
-                    if mc else 0,
+                    failed_samples=mc.failed_samples if mc else 0,
                     verify_samples=n_verify, verify_shrunk=shrunk)
                 records.append(record)
 
@@ -557,9 +552,8 @@ class YieldOptimizer:
             stop_reason = f"{STOP_ABORTED_PREFIX}{type(exc).__name__}: " \
                           f"{exc}"
 
-        from ..yieldsim import SimulatorHealth
         health = SimulatorHealth.from_reports(
-            getattr(record.mc, "report", None) for record in records)
+            record.mc.report for record in records if record.mc is not None)
         return OptimizationResult(
             template_name=template.name,
             records=records,

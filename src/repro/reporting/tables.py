@@ -31,21 +31,6 @@ def _iteration_label(index: int) -> str:
     return f"{index}{suffix} Iter."
 
 
-def _confidence_interval(mc) -> Optional[Tuple[float, float]]:
-    """Extract a 95 % CI from either result flavor: a yieldsim
-    ``YieldResult`` carries explicit bounds, the legacy
-    ``MonteCarloResult`` computes a Wilson interval on demand."""
-    if mc is None:
-        return None
-    low = getattr(mc, "ci_low", None)
-    if low is not None:
-        return (low, mc.ci_high)
-    interval = getattr(mc, "confidence_interval", None)
-    if callable(interval):
-        return interval()
-    return None
-
-
 def optimization_trace_table(template: CircuitTemplate,
                              result: OptimizationResult,
                              records: Optional[Sequence[IterationRecord]]
@@ -78,22 +63,20 @@ def optimization_trace_table(template: CircuitTemplate,
                                  widths))
         if record.yield_mc is not None:
             text = f"  Y_tilde = {record.yield_mc * 100:.1f}%"
-            ci = _confidence_interval(record.mc)
-            if ci is not None:
-                text += (f" (95% CI {ci[0] * 100:.1f}"
-                         f"-{ci[1] * 100:.1f}%)")
+            if record.mc is not None:
+                text += (f" (95% CI {record.mc.ci_low * 100:.1f}"
+                         f"-{record.mc.ci_high * 100:.1f}%)")
             lines.append(text)
-            if getattr(record, "verify_shrunk", False):
-                n = getattr(record, "verify_samples", None)
-                lines.append(f"  verification shrunk to N = {n} "
+            if record.verify_shrunk:
+                lines.append(f"  verification shrunk to N = "
+                             f"{record.verify_samples} "
                              f"(remaining simulation budget)")
-            failed = getattr(record, "failed_samples", 0)
-            if failed:
-                n = getattr(record.mc, "n_samples", None)
-                total = f"/{n}" if n else ""
-                lines.append(f"  failed samples = {failed}{total} "
+            if record.failed_samples:
+                total = f"/{record.mc.n_samples}" if record.mc else ""
+                lines.append(f"  failed samples = "
+                             f"{record.failed_samples}{total} "
                              f"(counted as spec-violating)")
-        elif getattr(record, "verify_shrunk", False):
+        elif record.verify_shrunk:
             lines.append("  Y_tilde skipped (simulation budget spent)")
         lines.append("")
     return "\n".join(lines)
@@ -175,15 +158,14 @@ def health_table(result: OptimizationResult) -> str:
     fault-policy activity, executor retries/timeouts, shared-pool usage,
     and warm-start cache effectiveness.  Empty string when the run was
     entirely clean and serial (nothing worth reporting)."""
-    health = getattr(result, "health", None)
-    pool_tasks = getattr(result, "pool_tasks", 0)
+    health = result.health
     rows: List[Tuple[str, str]] = []
-    if pool_tasks:
+    if result.pool_tasks:
         rows.append(("pool workers", str(result.pool_jobs)))
-        rows.append(("pool tasks", str(pool_tasks)))
+        rows.append(("pool tasks", str(result.pool_tasks)))
         if result.pool_died:
             rows.append(("pool died", "yes (degraded to serial)"))
-    warm = getattr(result, "warm_cache", None)
+    warm = result.warm_cache
     if warm and (warm.get("hits", 0) or warm.get("misses", 0)):
         rows.append(("warm-cache hits/misses",
                      f"{warm.get('hits', 0)}/{warm.get('misses', 0)}"))
@@ -194,7 +176,7 @@ def health_table(result: OptimizationResult) -> str:
         if warm.get("evictions", 0):
             rows.append(("warm-cache evictions",
                          str(warm.get("evictions", 0))))
-    dc_effort = getattr(result, "dc_effort", None)
+    dc_effort = result.dc_effort
     if dc_effort and any(dc_effort.values()):
         parts = [f"{label}={count}"
                  for label, count in sorted(dc_effort.items()) if count]
@@ -206,7 +188,7 @@ def health_table(result: OptimizationResult) -> str:
         rows.append(("retried evaluations",
                      str(result.total_retried_evaluations)))
     if health is not None and not health.clean:
-        if getattr(health, "no_data", False):
+        if health.no_data:
             # runs == 0 is *unobserved*, not healthy: say so explicitly
             # instead of printing an empty (clean-looking) section.
             rows.append(("verification telemetry", "none recorded"))
@@ -218,7 +200,7 @@ def health_table(result: OptimizationResult) -> str:
         if health.degraded_runs:
             rows.append(("degraded verifications",
                          str(health.degraded_runs)))
-        if getattr(health, "incompatible_runs", 0):
+        if health.incompatible_runs:
             rows.append(("pool-incompatible verifications",
                          str(health.incompatible_runs)))
     if not rows:
@@ -232,15 +214,15 @@ def health_table(result: OptimizationResult) -> str:
 def _report_flags(report) -> str:
     """One-line status summary of a shard's :class:`RunReport`."""
     flags: List[str] = []
-    if getattr(report, "failed_samples", 0):
+    if report.failed_samples:
         flags.append(f"{report.failed_samples} failed samples")
-    if getattr(report, "retried_chunks", 0):
+    if report.retried_chunks:
         flags.append(f"{report.retried_chunks} retried chunks")
-    if getattr(report, "timed_out_chunks", 0):
+    if report.timed_out_chunks:
         flags.append(f"{report.timed_out_chunks} timed out")
-    if getattr(report, "degraded_to_serial", False):
+    if report.degraded_to_serial:
         flags.append("degraded to serial")
-    if getattr(report, "pool_incompatible", False):
+    if report.pool_incompatible:
         flags.append("pool incompatible")
     return ", ".join(flags) if flags else "clean"
 
@@ -262,7 +244,7 @@ def merged_provenance_table(result) -> str:
     lines.append(f"samples = {result.n_samples}, "
                  f"simulations = {result.simulations}, "
                  f"failed = {result.failed_samples}")
-    reports = list(getattr(result, "shard_reports", []) or [])
+    reports = result.shard_reports
     for index, report in enumerate(reports, start=1):
         lines.append(
             f"  shard {index}/{len(reports)}: "

@@ -24,9 +24,8 @@ from __future__ import annotations
 from .budget import (RunBudget, STOP_ABORTED_PREFIX, STOP_CONVERGED,
                      STOP_DEADLINE, STOP_MAX_ITERATIONS, STOP_SIM_BUDGET)
 from .checkpoint import (CHECKPOINT_VERSION, CheckpointError,
-                         OptimizerCheckpoint, READABLE_VERSIONS,
-                         load_checkpoint, peek_checkpoint,
-                         record_from_dict, record_to_dict,
+                         OptimizerCheckpoint, load_checkpoint,
+                         peek_checkpoint, record_from_dict, record_to_dict,
                          save_checkpoint, splice_merged_result)
 from .faults import FaultInjectingEvaluator
 from .policy import (DEFAULT_ACTIONS, FaultAction, FaultPolicy,
@@ -35,7 +34,6 @@ from .tolerant import FaultTolerantEvaluator
 
 __all__ = [
     "CHECKPOINT_VERSION", "CheckpointError", "DEFAULT_ACTIONS",
-    "READABLE_VERSIONS",
     "FaultAction", "FaultInjectingEvaluator", "FaultPolicy",
     "FaultTolerantEvaluator", "OptimizerCheckpoint", "RetryConfig",
     "RunBudget", "STOP_ABORTED_PREFIX", "STOP_CONVERGED", "STOP_DEADLINE",

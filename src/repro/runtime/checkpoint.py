@@ -18,6 +18,7 @@ equal to the originals field by field.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -28,11 +29,13 @@ import numpy as np
 
 from ..errors import ReproError
 
-#: current checkpoint schema version
+#: checkpoint schema version: the one this build writes and reads
 CHECKPOINT_VERSION = 2
 
-#: schema versions :func:`load_checkpoint` can read
-READABLE_VERSIONS = (1, 2)
+#: top-level fields of every checkpoint (see :func:`save_checkpoint`)
+_FIELDS = ("version", "template_name", "seed", "iteration", "d_f",
+           "records", "previous_wc", "sample_state", "counters",
+           "wall_time_s", "stop_reason")
 
 #: delta marker: "same serialized value as the previous record's entry"
 _PREV = "@prev"
@@ -82,48 +85,17 @@ def _wc_from_dict(data: Mapping, template) -> "object":
 
 # -- verification results -----------------------------------------------------
 def _mc_to_dict(mc) -> Optional[Dict]:
-    """Serialize a verification result: a yieldsim ``YieldResult`` (or
-    anything else exposing a compatible ``to_dict``).  Legacy records
-    without one (:class:`repro.core.montecarlo.MonteCarloResult`) keep
-    their scalar summary in a ``legacy-summary`` stub, so ``--resume``
-    round-trips a checkpointed trace instead of silently dropping the
-    verification result."""
+    """Serialize a record's verification ``YieldResult``."""
     if mc is None:
         return None
-    to_dict = getattr(mc, "to_dict", None)
-    if callable(to_dict):
-        return {"kind": "yieldsim", "data": to_dict()}
-    return {"kind": "legacy-summary", "data": {
-        "yield_estimate": float(mc.yield_estimate),
-        "n_samples": int(mc.n_samples),
-        "simulations": int(mc.simulations),
-        "bad_fraction": {key: float(value)
-                         for key, value in mc.bad_fraction.items()},
-        "performance_mean": {
-            key: float(value)
-            for key, value in getattr(mc, "performance_mean",
-                                      {}).items()},
-        "performance_std": {
-            key: float(value)
-            for key, value in getattr(mc, "performance_std",
-                                      {}).items()},
-    }}
+    return {"kind": "yieldsim", "data": mc.to_dict()}
 
 
 def _mc_from_dict(data: Optional[Mapping]):
     if data is None:
         return None
-    kind = data.get("kind", "yieldsim")
-    if kind == "legacy-summary":
-        from ..core.montecarlo import MonteCarloResult
-        summary = data["data"]
-        return MonteCarloResult(
-            yield_estimate=float(summary["yield_estimate"]),
-            n_samples=int(summary["n_samples"]),
-            bad_fraction=dict(summary["bad_fraction"]),
-            simulations=int(summary["simulations"]),
-            performance_mean=dict(summary.get("performance_mean", {})),
-            performance_std=dict(summary.get("performance_std", {})))
+    if data["kind"] != "yieldsim":
+        raise ValueError(f"unknown verification kind {data['kind']!r}")
     from ..yieldsim.result import YieldResult
     return YieldResult.from_dict(data["data"])
 
@@ -151,7 +123,8 @@ def record_to_dict(record) -> Dict:
 
 
 def record_from_dict(data: Mapping, template):
-    """Restore one :class:`~repro.core.optimizer.IterationRecord`."""
+    """Restore one :class:`~repro.core.optimizer.IterationRecord` (the
+    inverse of :func:`record_to_dict`: every field is required)."""
     from ..core.optimizer import IterationRecord
     return IterationRecord(
         index=int(data["index"]),
@@ -161,17 +134,16 @@ def record_from_dict(data: Mapping, template):
         yield_linear=float(data["yield_linear"]),
         yield_mc=None if data["yield_mc"] is None
         else float(data["yield_mc"]),
-        mc=_mc_from_dict(data.get("mc")),
+        mc=_mc_from_dict(data["mc"]),
         worst_case={key: _wc_from_dict(wc, template)
                     for key, wc in data["worst_case"].items()},
         simulations=int(data["simulations"]),
         constraint_simulations=int(data["constraint_simulations"]),
-        gamma=None if data.get("gamma") is None
-        else float(data["gamma"]),
-        failed_samples=int(data.get("failed_samples", 0)),
-        verify_samples=None if data.get("verify_samples") is None
+        gamma=None if data["gamma"] is None else float(data["gamma"]),
+        failed_samples=int(data["failed_samples"]),
+        verify_samples=None if data["verify_samples"] is None
         else int(data["verify_samples"]),
-        verify_shrunk=bool(data.get("verify_shrunk", False)))
+        verify_shrunk=bool(data["verify_shrunk"]))
 
 
 # -- the checkpoint record ----------------------------------------------------
@@ -239,7 +211,7 @@ def _compact_wc(records: List[Dict],
 def _expand_wc(records: List[Dict], previous_wc: Optional[Dict],
                path: str) -> None:
     """Resolve :data:`_PREV` markers in place (inverse of
-    :func:`_compact_wc`); a no-op on version-1 payloads."""
+    :func:`_compact_wc`)."""
     reference: Dict = {}
     for index, record in enumerate(records):
         expanded = {}
@@ -266,27 +238,9 @@ def _expand_wc(records: List[Dict], previous_wc: Optional[Dict],
                 previous_wc[key] = reference[key]
 
 
-def save_checkpoint(path: str, checkpoint: OptimizerCheckpoint) -> None:
-    """Atomically write ``checkpoint`` as JSON to ``path`` (version-2
-    schema: repeated worst-case blocks are delta-compacted)."""
-    records = [record_to_dict(record) for record in checkpoint.records]
-    previous_wc = None if checkpoint.previous_wc is None else {
-        key: _wc_to_dict(wc)
-        for key, wc in checkpoint.previous_wc.items()}
-    _compact_wc(records, previous_wc)
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "template_name": checkpoint.template_name,
-        "seed": checkpoint.seed,
-        "iteration": checkpoint.iteration,
-        "d_f": dict(checkpoint.d_f),
-        "records": records,
-        "previous_wc": previous_wc,
-        "sample_state": dict(checkpoint.sample_state),
-        "counters": dict(checkpoint.counters),
-        "wall_time_s": checkpoint.wall_time_s,
-        "stop_reason": checkpoint.stop_reason,
-    }
+def _write_payload(path: str, payload: Dict) -> None:
+    """Atomically write ``payload`` as JSON to ``path`` (temp file in the
+    same directory + rename)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -301,6 +255,85 @@ def save_checkpoint(path: str, checkpoint: OptimizerCheckpoint) -> None:
         except OSError:
             pass
         raise
+
+
+def save_checkpoint(path: str, checkpoint: OptimizerCheckpoint) -> None:
+    """Atomically write ``checkpoint`` as JSON to ``path`` (version-2
+    schema: repeated worst-case blocks are delta-compacted)."""
+    records = [record_to_dict(record) for record in checkpoint.records]
+    previous_wc = None if checkpoint.previous_wc is None else {
+        key: _wc_to_dict(wc)
+        for key, wc in checkpoint.previous_wc.items()}
+    _compact_wc(records, previous_wc)
+    _write_payload(path, {
+        "version": CHECKPOINT_VERSION,
+        "template_name": checkpoint.template_name,
+        "seed": checkpoint.seed,
+        "iteration": checkpoint.iteration,
+        "d_f": dict(checkpoint.d_f),
+        "records": records,
+        "previous_wc": previous_wc,
+        "sample_state": dict(checkpoint.sample_state),
+        "counters": dict(checkpoint.counters),
+        "wall_time_s": checkpoint.wall_time_s,
+        "stop_reason": checkpoint.stop_reason,
+    })
+
+
+def _read_payload(path: str) -> Dict:
+    """The raw JSON payload of the checkpoint at ``path``: an object at
+    :data:`CHECKPOINT_VERSION` carrying every top-level field.  The one
+    reader behind :func:`load_checkpoint`, :func:`peek_checkpoint` and
+    :func:`splice_merged_result`; anything else raises
+    :class:`CheckpointError`."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"checkpoint {path!r} holds a JSON {type(payload).__name__}, "
+            f"not an object")
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path!r} has schema version {version!r}; "
+            f"this build reads version {CHECKPOINT_VERSION}")
+    missing = [name for name in _FIELDS if name not in payload]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint {path!r} lacks field(s) {', '.join(missing)}")
+    return payload
+
+
+@contextlib.contextmanager
+def _parsing(path: str, what: str):
+    """Report a malformed entry met inside the block as a
+    :class:`CheckpointError` naming ``what``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r}: malformed {what} "
+            f"({type(exc).__name__}: {exc})") from exc
+
+
+#: run-report counters a merged verification adds to the checkpoint's
+#: evaluator ``counters``
+_EFFORT_COUNTERS = ("simulations", "requests", "cache_hits",
+                    "cache_misses")
+
+
+def _effort(result) -> Dict[str, int]:
+    """The :data:`_EFFORT_COUNTERS` of a verification result's run
+    report (zero without a result or report)."""
+    report = None if result is None else result.report
+    if report is None:
+        return dict.fromkeys(_EFFORT_COUNTERS, 0)
+    return {key: getattr(report, key) for key in _EFFORT_COUNTERS}
 
 
 def splice_merged_result(path: str, result) -> None:
@@ -321,134 +354,83 @@ def splice_merged_result(path: str, result) -> None:
     ``RunBudget``/Table-7 effort reporting reflects the *fleet-wide*
     spend instead of under-reporting to one shard's share.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
-    records = payload.get("records") or []
+    payload = _read_payload(path)
+    records = payload["records"]
     if not records:
         raise CheckpointError(
             f"checkpoint {path!r} has no iteration records to splice a "
             f"merged verification into")
-    record = records[-1]
-    old_mc = record.get("mc") or {}
-    old_report = (old_mc.get("data") or {}).get("report") or {} \
-        if old_mc.get("kind") == "yieldsim" else {}
-    merged = result.to_dict()
-    record["mc"] = {"kind": "yieldsim", "data": merged}
-    record["yield_mc"] = float(result.estimate)
-    record["failed_samples"] = int(result.failed_samples)
-    record["verify_samples"] = int(result.n_samples)
+    with _parsing(path, "last record"):
+        record = records[-1]
+        old = _effort(_mc_from_dict(record["mc"]))
+        simulations = int(record["simulations"])
     # Fold the sibling shards' effort (merged minus what this
     # checkpoint's own verification already counted) into the pooled
     # budget counters.
-    merged_report = merged.get("report") or {}
-    counters = payload.setdefault("counters", {})
-    for merged_key, counter_key in (("simulations", "simulations"),
-                                    ("requests", "requests"),
-                                    ("cache_hits", "cache_hits"),
-                                    ("cache_misses", "cache_misses")):
-        delta = int(merged_report.get(merged_key, 0)) \
-            - int(old_report.get(merged_key, 0))
-        if delta > 0:
-            counters[counter_key] = \
-                int(counters.get(counter_key, 0)) + delta
-    sims_delta = int(merged_report.get("simulations", 0)) \
-        - int(old_report.get("simulations", 0))
-    if sims_delta > 0 and "simulations" in record:
-        record["simulations"] = int(record["simulations"]) + sims_delta
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, suffix=".tmp", delete=False)
-    try:
-        with handle:
-            json.dump(payload, handle)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    new = _effort(result)
+    with _parsing(path, "counters"):
+        counters = payload["counters"]
+        for key in _EFFORT_COUNTERS:
+            delta = new[key] - old[key]
+            if delta > 0:
+                counters[key] = int(counters.get(key, 0)) + delta
+    sims_delta = new["simulations"] - old["simulations"]
+    if sims_delta > 0:
+        record["simulations"] = simulations + sims_delta
+    record["mc"] = _mc_to_dict(result)
+    record["yield_mc"] = float(result.estimate)
+    record["failed_samples"] = int(result.failed_samples)
+    record["verify_samples"] = int(result.n_samples)
+    _write_payload(path, payload)
 
 
 def peek_checkpoint(path: str) -> Dict:
     """Light-weight checkpoint inspection: summary fields only, no
-    template rebinding (the serve layer's recovery/status path uses
-    this to describe a resumable job without instantiating circuits).
+    template rebinding (describes a resumable run without instantiating
+    circuits).
 
     Returns ``{"version", "template_name", "seed", "iteration",
-    "stop_reason"}``; raises :class:`CheckpointError` on unreadable or
-    version-incompatible files.
+    "stop_reason"}``; raises :class:`CheckpointError` on unreadable,
+    malformed or version-incompatible files.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
-    return {
-        "version": version,
-        "template_name": payload.get("template_name"),
-        "seed": payload.get("seed"),
-        "iteration": int(payload.get("iteration", 0)),
-        "stop_reason": payload.get("stop_reason"),
-    }
+    payload = _read_payload(path)
+    return {key: payload[key]
+            for key in ("version", "template_name", "seed", "iteration",
+                        "stop_reason")}
 
 
 def load_checkpoint(path: str, template) -> OptimizerCheckpoint:
     """Load a checkpoint and rebind it to ``template``.
 
-    Raises :class:`CheckpointError` for unreadable files, incompatible
-    schema versions, or a template-name mismatch.
+    Raises :class:`CheckpointError` for unreadable or malformed files,
+    other schema versions, or a template-name mismatch.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
+    payload = _read_payload(path)
     if payload["template_name"] != template.name:
         raise CheckpointError(
             f"checkpoint {path!r} was written for template "
             f"{payload['template_name']!r}, not {template.name!r}")
-    previous_wc = payload.get("previous_wc")
-    _expand_wc(payload.get("records") or [], previous_wc, path)
-    return OptimizerCheckpoint(
-        template_name=payload["template_name"],
-        seed=int(payload["seed"]),
-        iteration=int(payload["iteration"]),
-        d_f=dict(payload["d_f"]),
-        records=[record_from_dict(record, template)
-                 for record in payload["records"]],
-        previous_wc=None if previous_wc is None else {
-            key: _wc_from_dict(wc, template)
-            for key, wc in previous_wc.items()},
-        sample_state=dict(payload.get("sample_state", {})),
-        counters={key: int(value)
-                  for key, value in payload.get("counters", {}).items()},
-        wall_time_s=float(payload.get("wall_time_s", 0.0)),
-        stop_reason=payload.get("stop_reason"))
+    previous_wc = payload["previous_wc"]
+    with _parsing(path, "worst-case blocks"):
+        _expand_wc(payload["records"], previous_wc, path)
+    records = []
+    for index, data in enumerate(payload["records"]):
+        with _parsing(path, f"record {index}"):
+            records.append(record_from_dict(data, template))
+    with _parsing(path, "previous_wc"):
+        if previous_wc is not None:
+            previous_wc = {key: _wc_from_dict(wc, template)
+                           for key, wc in previous_wc.items()}
+    with _parsing(path, "header"):
+        return OptimizerCheckpoint(
+            template_name=payload["template_name"],
+            seed=int(payload["seed"]),
+            iteration=int(payload["iteration"]),
+            d_f=dict(payload["d_f"]),
+            records=records,
+            previous_wc=previous_wc,
+            sample_state=dict(payload["sample_state"]),
+            counters={key: int(value)
+                      for key, value in payload["counters"].items()},
+            wall_time_s=float(payload["wall_time_s"]),
+            stop_reason=payload["stop_reason"])

@@ -139,8 +139,8 @@ def load_result_artifact(data: Mapping, source: str = "artifact"
     """Parse a loaded JSON document into ``(YieldResult, provenance)``.
 
     Accepts both the wrapped artifact format (validated, provenance
-    returned) and the bare ``YieldResult.to_dict()`` files written
-    before the contract existed (``provenance = None``).
+    returned) and the bare ``YieldResult.to_dict()`` record that
+    ``yield --json`` prints (``provenance = None``).
     """
     from ..yieldsim import YieldResult
     if isinstance(data, Mapping) and "schema_version" in data:
@@ -168,8 +168,9 @@ def check_merge_compatible(
 
     Shards of one verification run share the template, the root seed,
     and the estimator; pooling anything else produces a well-formed but
-    meaningless estimate.  Artifacts without provenance (legacy bare
-    files) are skipped — there is nothing to check against.
+    meaningless estimate.  Artifacts without provenance (bare
+    ``yield --json`` records) are skipped — there is nothing to check
+    against.
     """
     if sources is None:
         sources = [f"shard {i + 1}" for i in range(len(provenances))]

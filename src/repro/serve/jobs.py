@@ -22,7 +22,7 @@ streams of MC/IS (independent ``SeedSequence.spawn`` sub-streams), so
 the shard count enters the key only for stream-splitting estimators.
 
 Worker processes run :func:`execute_yield_job` /
-:func:`execute_optimize_job`, which accept a wrapped payload carrying a
+:func:`execute_optimize_job` on a payload that wraps the request with a
 ``heartbeat`` path: a daemon thread touches that file once a second so
 the server-side supervisor can distinguish a slow worker from a dead
 one.  Optimize workers additionally own a ``checkpoint`` path inside
@@ -286,22 +286,12 @@ def worker_heartbeat(path: Optional[str], interval_s: float = 1.0):
         thread.join(timeout=interval_s + 1.0)
 
 
-def _unwrap_payload(payload: Mapping) -> tuple:
-    """``(request_dict, extras)`` from a worker payload.  Accepts both
-    the wrapped form ``{"request": {...}, "heartbeat": ..., ...}`` and
-    the legacy bare request dict."""
-    if "request" in payload and isinstance(payload["request"], Mapping):
-        return payload["request"], payload
-    return payload, {}
-
-
 def execute_yield_job(payload: Mapping) -> Dict:
     """Process-pool entry point: run one (shard of a) yield request and
     return its artifact dict (picklable either way, but JSON keeps the
     worker boundary identical to the wire format)."""
-    request_dict, extras = _unwrap_payload(payload)
-    request = YieldRequest.from_dict(request_dict)
-    with worker_heartbeat(extras.get("heartbeat")):
+    request = YieldRequest.from_dict(payload["request"])
+    with worker_heartbeat(payload["heartbeat"]):
         result = execute_yield(request)
     return yield_artifact(request, result, command="serve")
 
@@ -523,10 +513,9 @@ def execute_optimize_job(payload: Mapping) -> Dict:
     the runtime's determinism contract, reproduces the uninterrupted
     trace bit-identically.
     """
-    request_dict, extras = _unwrap_payload(payload)
-    request = OptimizeRequest.from_dict(request_dict)
-    checkpoint = extras.get("checkpoint")
-    with worker_heartbeat(extras.get("heartbeat")):
+    request = OptimizeRequest.from_dict(payload["request"])
+    checkpoint = payload["checkpoint"]
+    with worker_heartbeat(payload["heartbeat"]):
         result = execute_optimize(request, checkpoint_path=checkpoint,
                                   resume=bool(checkpoint))
     return optimize_artifact(request, result, command="serve")

@@ -1,9 +1,8 @@
 """Plain operational Monte-Carlo behind the estimator interface.
 
 This is the paper's verifier (Sec. 2, Eq. 6-7; N = 300 between optimizer
-iterations) refactored onto the yieldsim pipeline: identical draws,
-identical pass/fail logic, identical estimates to the legacy
-``repro.core.montecarlo.operational_monte_carlo`` — plus Wilson confidence
+iterations) on the yieldsim pipeline: seeded standard-normal draws and
+the per-spec pass/fail logic of the paper, plus Wilson confidence
 intervals, telemetry, and optional parallel batch execution.
 """
 

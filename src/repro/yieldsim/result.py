@@ -1,21 +1,19 @@
 """The common result record all yield estimators produce.
 
-:class:`YieldResult` is deliberately duck-compatible with the legacy
-:class:`~repro.core.montecarlo.MonteCarloResult` (``yield_estimate``,
-``n_samples``, ``bad_fraction``, ``simulations``, ``performance_mean``,
-``performance_std``, ``standard_error``), so optimizer records and the
-paper-table renderers accept either — plus it carries what the legacy
-record could not express: a confidence interval that stays honest at
-0 %/100 % estimates, the effective sample size of weighted estimators,
-and the run telemetry.
+:class:`YieldResult` is the one verification record: optimizer iteration
+records, checkpoints, result artifacts and the paper-table renderers all
+carry it.  Next to the estimate and the per-spec numbers the tables
+show, it holds a confidence interval that stays honest at 0 %/100 %
+estimates, the effective sample size of weighted estimators, and the run
+telemetry.
 
-Since the sharded-verification work the record also carries its
-**sufficient statistics** (:class:`SufficientStats`): the pooled success
-count for binomial estimators, the weight sums ``sum w`` / ``sum w^2``
-for self-normalized importance sampling, and per-spec weighted moment
-accumulators.  All three estimators are linear in their sample streams,
-so two results over disjoint streams combine *exactly* by pooling these
-statistics (:func:`repro.yieldsim.shard.merge_results`) — the frozen
+The record also carries its **sufficient statistics**
+(:class:`SufficientStats`): the pooled success count for binomial
+estimators, the weight sums ``sum w`` / ``sum w^2`` for self-normalized
+importance sampling, and per-spec weighted moment accumulators.  All
+three estimators are linear in their sample streams, so two results over
+disjoint streams combine *exactly* by pooling these statistics
+(:func:`repro.yieldsim.shard.merge_results`) — the frozen
 ``ci_low/ci_high`` numbers are a rendering of the statistics, not the
 record of truth.
 """
@@ -150,6 +148,9 @@ class YieldResult:
     #: effective sample size: ``n`` for unweighted estimators,
     #: ``(sum w)^2 / sum w^2`` for importance sampling
     ess: float
+    #: sufficient statistics: exact shard merging, the standard error,
+    #: and the interval at any level all derive from them
+    stats: SufficientStats
     #: per spec key, (weighted) fraction of samples violating that spec
     bad_fraction: Dict[str, float] = field(default_factory=dict)
     #: per spec key, (weighted) sample mean of the performance at its
@@ -163,9 +164,6 @@ class YieldResult:
     failed_samples: int = 0
     #: run telemetry (phases, executor stats, cache accounting)
     report: Optional[RunReport] = None
-    #: sufficient statistics for exact merging (None only on records
-    #: deserialized from pre-shard checkpoints)
-    stats: Optional[SufficientStats] = None
     #: 0-based shard index when this result covers one shard of a
     #: partitioned sample stream (None = unsharded / merged)
     shard_index: Optional[int] = None
@@ -178,29 +176,13 @@ class YieldResult:
     #: health tables; ``report`` is their fold)
     shard_reports: List[RunReport] = field(default_factory=list)
 
-    # -- legacy-compatible views -----------------------------------------------
-    @property
-    def yield_estimate(self) -> float:
-        """Alias matching :class:`MonteCarloResult`."""
-        return self.estimate
-
     @property
     def standard_error(self) -> float:
-        """Standard error of the yield estimate.
-
-        With sufficient statistics (any record produced since the shard
-        work) this is computed directly: the binomial
-        ``sqrt(p (1-p) / n)`` for MC/QMC, the delta-method SE of the
-        self-normalized ratio for IS.  Mapping the Wilson width back
-        through ``ci_width / (2 z)`` — the only option on legacy records
-        without statistics — is wrong for the asymmetric intervals near
-        0/1 (at ``k = 0`` it reports half the upper edge as an "SE"), so
-        it remains only as the legacy fallback.
+        """Standard error of the yield estimate, computed from the
+        sufficient statistics: the binomial ``sqrt(p (1-p) / n)`` for
+        MC/QMC, the delta-method SE of the self-normalized ratio for IS.
         """
-        if self.stats is not None:
-            return _stats_standard_error(self.stats)
-        from ..statistics.intervals import z_quantile
-        return self.ci_width / (2.0 * z_quantile(self.ci_level))
+        return _stats_standard_error(self.stats)
 
     @property
     def ci_width(self) -> float:
@@ -208,21 +190,13 @@ class YieldResult:
 
     def confidence_interval(self, level: Optional[float] = None
                             ) -> Tuple[float, float]:
-        """The confidence interval at ``level``.
-
-        With sufficient statistics any level is recomputable (Wilson
-        from the pooled ``k, N`` for binomial estimators, delta-method
-        normal for IS).  Legacy records without statistics carry only
-        the frozen interval and raise for any other level.
-        """
+        """The confidence interval at ``level`` (default: the stored
+        ``ci_level``).  Any other level is recomputed from the
+        sufficient statistics: Wilson from the pooled ``k, N`` for
+        binomial estimators, delta-method normal for IS."""
         if level is None or abs(level - self.ci_level) <= 1e-12:
             return (self.ci_low, self.ci_high)
-        if self.stats is not None:
-            return _stats_interval(self.stats, self.estimate, level)
-        raise ValueError(
-            f"result carries a {self.ci_level:.0%} interval and no "
-            f"sufficient statistics; re-run the estimator for level "
-            f"{level}")
+        return _stats_interval(self.stats, self.estimate, level)
 
     # -- serialization ----------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -240,7 +214,7 @@ class YieldResult:
             "performance_std": dict(self.performance_std),
             "failed_samples": self.failed_samples,
             "report": self.report.to_dict() if self.report else None,
-            "stats": self.stats.to_dict() if self.stats else None,
+            "stats": self.stats.to_dict(),
             "shard_index": self.shard_index,
             "shard_total": self.shard_total,
             "merged_from": self.merged_from,
@@ -255,7 +229,6 @@ class YieldResult:
     def from_dict(cls, data: Dict) -> "YieldResult":
         """Inverse of :meth:`to_dict`; used by checkpoint restore."""
         report = data.get("report")
-        stats = data.get("stats")
         return cls(
             estimator=data["estimator"],
             estimate=float(data["estimate"]),
@@ -265,14 +238,13 @@ class YieldResult:
             ci_high=float(data["ci_high"]),
             ci_level=float(data["ci_level"]),
             ess=float(data["ess"]),
+            stats=SufficientStats.from_dict(data["stats"]),
             bad_fraction=dict(data.get("bad_fraction", {})),
             performance_mean=dict(data.get("performance_mean", {})),
             performance_std=dict(data.get("performance_std", {})),
             failed_samples=int(data.get("failed_samples", 0)),
             report=None if report is None
             else RunReport.from_dict(report),
-            stats=None if stats is None
-            else SufficientStats.from_dict(stats),
             shard_index=data.get("shard_index"),
             shard_total=data.get("shard_total"),
             merged_from=int(data.get("merged_from", 0)),

@@ -146,9 +146,9 @@ def merge_reports(reports: Sequence[RunReport]) -> Optional[RunReport]:
         merged.pool_incompatible |= report.pool_incompatible
         if report.backend not in backends:
             backends.append(report.backend)
-        for key, count in getattr(report, "warm_cache", {}).items():
+        for key, count in report.warm_cache.items():
             merged.warm_cache[key] = merged.warm_cache.get(key, 0) + count
-        for key, count in getattr(report, "dc_effort", {}).items():
+        for key, count in report.dc_effort.items():
             merged.dc_effort[key] = merged.dc_effort.get(key, 0) + count
         for phase, seconds in report.phase_seconds.items():
             merged.phase_seconds[phase] = \
@@ -253,11 +253,11 @@ def merge_results(results: Sequence[YieldResult],
                   level: Optional[float] = None) -> YieldResult:
     """Combine per-shard yield results into the pooled estimate.
 
-    All inputs must come from the same estimator and carry sufficient
-    statistics.  The merged record's interval/SE/ESS are recomputed
-    from the pooled statistics at ``level`` (default: the shards'
-    common ``ci_level``); telemetry folds through :func:`merge_reports`
-    and the per-shard reports are retained as provenance.  Merging a
+    All inputs must come from the same estimator.  The merged record's
+    interval/SE/ESS are recomputed from the pooled statistics at
+    ``level`` (default: the shards' common ``ci_level``); telemetry
+    folds through :func:`merge_reports` and the per-shard reports are
+    retained as provenance.  Merging a
     single result returns it unchanged apart from provenance — the
     1-shard merge is bit-identical to the unsharded run.
     """
@@ -269,12 +269,6 @@ def merge_results(results: Sequence[YieldResult],
         raise ReproError(
             f"cannot merge results of different estimators "
             f"{sorted(estimators)}")
-    missing = [i for i, result in enumerate(results)
-               if result.stats is None]
-    if missing:
-        raise ReproError(
-            f"result(s) {missing} carry no sufficient statistics "
-            f"(pre-shard record?); re-run the shards to merge them")
     levels = {result.ci_level for result in results}
     if level is None:
         if len(levels) != 1:

@@ -149,8 +149,7 @@ class SimulatorHealth:
             health.retried_chunks += report.retried_chunks
             health.timed_out_chunks += report.timed_out_chunks
             health.degraded_runs += int(report.degraded_to_serial)
-            health.incompatible_runs += int(
-                getattr(report, "pool_incompatible", False))
+            health.incompatible_runs += int(report.pool_incompatible)
         return health
 
     @property

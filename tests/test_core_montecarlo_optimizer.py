@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import norm
 
 from helpers import LinearTemplate, tiny_process
-from repro.core.montecarlo import operational_monte_carlo
 from repro.core.optimizer import (OptimizerConfig, OptimizationResult,
                                   YieldOptimizer)
 from repro.evaluation import Evaluator
@@ -14,6 +13,7 @@ from repro.evaluation.template import CircuitTemplate, DesignParameter
 from repro.spec import OperatingParameter, OperatingRange, Spec
 from repro.spec.specification import Performance
 from repro.statistics import SampleSet, StatisticalSpace
+from repro.yieldsim import OperationalMC
 
 THETA = {"temp": 27.0}
 
@@ -60,17 +60,17 @@ class TestOperationalMonteCarlo:
         t = TwoSpecTemplate()
         ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}
-        result = operational_monte_carlo(ev, {"d0": 1.0}, theta_map,
-                                         n_samples=4000, seed=1)
-        assert result.yield_estimate == pytest.approx(
+        result = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
+                                          n_samples=4000, seed=1)
+        assert result.estimate == pytest.approx(
             t.true_yield(1.0), abs=0.02)
 
     def test_bad_fractions_per_spec(self):
         t = TwoSpecTemplate()
         ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}
-        result = operational_monte_carlo(ev, {"d0": 0.0}, theta_map,
-                                         n_samples=4000, seed=2)
+        result = OperationalMC().estimate(ev, {"d0": 0.0}, theta_map,
+                                          n_samples=4000, seed=2)
         assert result.bad_fraction["f1>="] == pytest.approx(0.5, abs=0.03)
         assert result.bad_fraction["f2>="] == pytest.approx(0.0, abs=1e-3)
 
@@ -78,24 +78,24 @@ class TestOperationalMonteCarlo:
         t = TwoSpecTemplate()
         ev = Evaluator(t, cache=False)
         theta_map = {"f1>=": THETA, "f2>=": THETA}  # same corner
-        result = operational_monte_carlo(ev, {"d0": 1.0}, theta_map,
-                                         n_samples=100, seed=3)
+        result = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
+                                          n_samples=100, seed=3)
         assert result.simulations == 100  # one run covers both specs
 
     def test_distinct_thetas_cost_more(self):
         t = TwoSpecTemplate()
         ev = Evaluator(t, cache=False)
         theta_map = {"f1>=": {"temp": 0.0}, "f2>=": {"temp": 100.0}}
-        result = operational_monte_carlo(ev, {"d0": 1.0}, theta_map,
-                                         n_samples=100, seed=4)
+        result = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
+                                          n_samples=100, seed=4)
         assert result.simulations == 200
 
     def test_performance_statistics_recorded(self):
         t = TwoSpecTemplate()
         ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}
-        result = operational_monte_carlo(ev, {"d0": 1.5}, theta_map,
-                                         n_samples=3000, seed=5)
+        result = OperationalMC().estimate(ev, {"d0": 1.5}, theta_map,
+                                          n_samples=3000, seed=5)
         assert result.performance_mean["f1>="] == pytest.approx(1.5,
                                                                 abs=0.05)
         assert result.performance_std["f1>="] == pytest.approx(1.0,
@@ -108,18 +108,18 @@ class TestOperationalMonteCarlo:
         ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}
         samples = SampleSet.draw(500, 2, seed=6)
-        a = operational_monte_carlo(ev, {"d0": 1.0}, theta_map,
-                                    samples=samples)
-        b = operational_monte_carlo(ev, {"d0": 1.0}, theta_map,
-                                    samples=samples)
-        assert a.yield_estimate == b.yield_estimate
+        a = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
+                                     samples=samples)
+        b = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
+                                     samples=samples)
+        assert a.estimate == b.estimate
 
     def test_standard_error(self):
         t = TwoSpecTemplate()
         ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}
-        result = operational_monte_carlo(ev, {"d0": 2.0}, theta_map,
-                                         n_samples=300, seed=7)
+        result = OperationalMC().estimate(ev, {"d0": 2.0}, theta_map,
+                                          n_samples=300, seed=7)
         assert 0.0 <= result.standard_error <= 0.05
 
 

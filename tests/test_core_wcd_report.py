@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from helpers import LinearTemplate
-from repro.core import (find_all_worst_case_points, operational_monte_carlo,
-                        partial_yield, wcd_yield_report)
+from repro.core import (find_all_worst_case_points, partial_yield,
+                        wcd_yield_report)
 from repro.core.worst_case import WorstCaseResult
 from repro.evaluation import Evaluator
 from repro.spec import Spec
+from repro.yieldsim import OperationalMC
 
 THETA = {"temp": 27.0}
 
@@ -94,7 +95,7 @@ class TestAgainstMonteCarlo:
         worst_case = find_all_worst_case_points(
             ev, {"d0": 0.0, "d1": 0.0}, theta_map)
         report = wcd_yield_report(worst_case)
-        mc = operational_monte_carlo(ev, {"d0": 0.0, "d1": 0.0},
-                                     theta_map, n_samples=4000, seed=5)
+        mc = OperationalMC().estimate(ev, {"d0": 0.0, "d1": 0.0},
+                                      theta_map, n_samples=4000, seed=5)
         assert report.independent_estimate == pytest.approx(
-            mc.yield_estimate, abs=0.02)
+            mc.estimate, abs=0.02)

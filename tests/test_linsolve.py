@@ -364,7 +364,6 @@ class TestWarmChainSeeding:
         seeds both representatives."""
         from repro.circuits import MillerOpamp
         t = MillerOpamp()
-        t.warm_sensitivities = False  # keep the test fast
         theta = t.operating_range.nominal()
         d1 = t.initial_design()
         d2 = dict(d1)
@@ -378,31 +377,24 @@ class TestWarmChainSeeding:
         assert stats2["chain_seeds"] == 2
         assert stats2["chain_entries"] == 1
 
-    def test_chain_disabled_falls_back_to_cold_solves(self):
-        from repro.circuits import MillerOpamp
-        t = MillerOpamp()
-        t.warm_chain = False
-        t.warm_sensitivities = False
-        assert t._warm_anchor(t.initial_design(),
-                              t.operating_range.nominal()) is not None
-        stats = t.warm_cache_stats()
-        assert stats["chain_solves"] == 0
-        assert stats["chain_seeds"] == 0
-
     def test_chain_seeding_does_not_change_results(self):
         """The fallback guarantee: chaining may only change iteration
-        counts, never the anchor solution."""
+        counts, never the anchor solution.  The chain-seeded anchor
+        matches a direct cold solve of the fine cell's representative."""
         from repro.circuits import MillerOpamp
-        theta = None
-        anchors = {}
-        for chain in (True, False):
-            t = MillerOpamp()
-            t.warm_chain = chain
-            t.warm_sensitivities = False
-            theta = t.operating_range.nominal()
-            d = dict(t.initial_design())
-            d["w1"] = d["w1"] * 1.075
-            anchors[chain] = t._warm_anchor(d, theta)
-        x_chained = anchors[True][0]
-        x_cold = anchors[False][0]
+        from repro.circuits.base import _warm_rep
+        t = MillerOpamp()
+        theta = t.operating_range.nominal()
+        d = dict(t.initial_design())
+        d["w1"] = d["w1"] * 1.075
+        x_chained = t._warm_anchor(d, theta)[0]
+        assert t.warm_cache_stats()["chain_seeds"] == 1
+        d_rep = {name: _warm_rep(d[name]) for name in t.design_names}
+        theta_rep = {name: _warm_rep(value)
+                     for name, value in theta.items()}
+        space = t.statistical_space
+        circuit = t.build(d_rep, space.to_physical(d_rep, space.nominal()),
+                          theta_rep)
+        x_cold = solve_dc(circuit, temp_c=theta_rep["temp"],
+                          backend=t.linsolve).x
         assert np.allclose(x_chained, x_cold, rtol=1e-7, atol=1e-9)

@@ -532,10 +532,11 @@ class TestOptimizerPoolAndBudget:
         data = record_to_dict(record)
         back = record_from_dict(data, LinearTemplate())
         assert back.verify_samples == 42 and back.verify_shrunk
-        # Legacy checkpoints without the fields load with defaults.
+        # Every written field is required: a record without them is
+        # malformed, not silently defaulted.
         del data["verify_samples"], data["verify_shrunk"]
-        legacy = record_from_dict(data, LinearTemplate())
-        assert legacy.verify_samples is None and not legacy.verify_shrunk
+        with pytest.raises(KeyError):
+            record_from_dict(data, LinearTemplate())
 
 
 class TestReporting:

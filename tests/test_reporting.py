@@ -4,10 +4,12 @@ import pytest
 
 from helpers import LinearTemplate
 from repro.core.mismatch import PairMismatch
-from repro.core.montecarlo import MonteCarloResult
 from repro.core.optimizer import IterationRecord, OptimizationResult
 from repro.reporting import (effort_table, improvement_table, mismatch_table,
                              optimization_trace_table, side_by_side)
+from repro.statistics import wilson_interval
+from repro.yieldsim import SufficientStats, YieldResult
+from repro.yieldsim.result import KIND_BINOMIAL
 
 
 def record(index, margin, bad, y_mc, mc=None):
@@ -21,10 +23,16 @@ def record(index, margin, bad, y_mc, mc=None):
 
 
 def mc_result(mean, std):
-    return MonteCarloResult(
-        yield_estimate=0.9, n_samples=300, bad_fraction={"f>=": 0.1},
-        simulations=300, performance_mean={"f>=": mean},
-        performance_std={"f>=": std})
+    k, n = 270, 300
+    low, high = wilson_interval(k, n)
+    stats = SufficientStats(kind=KIND_BINOMIAL, n=n, successes=k,
+                            w_sum=float(n), w_sq_sum=float(n),
+                            w_pass_sum=float(k), w_sq_pass_sum=float(k))
+    return YieldResult(
+        estimator="mc", estimate=k / n, n_samples=n, simulations=n,
+        ci_low=low, ci_high=high, ci_level=0.95, ess=float(n),
+        stats=stats, bad_fraction={"f>=": 0.1},
+        performance_mean={"f>=": mean}, performance_std={"f>=": std})
 
 
 class TestTraceTable:

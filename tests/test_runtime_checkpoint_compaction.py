@@ -1,16 +1,22 @@
-"""Tests for the version-2 checkpoint compaction (delta-encoded
-worst-case blocks) and for atomic checkpoint writes under concurrency."""
+"""Tests for the version-2 checkpoint format: compaction (delta-encoded
+worst-case blocks), the one reader's rejection of other versions and
+malformed files, and atomic checkpoint writes under concurrency."""
 
 import copy
 import json
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from helpers import LinearTemplate
 from repro.core.optimizer import OptimizerConfig, YieldOptimizer
-from repro.runtime import (CHECKPOINT_VERSION, OptimizerCheckpoint,
-                           READABLE_VERSIONS, load_checkpoint,
-                           record_to_dict, save_checkpoint)
+from repro.evaluation import Evaluator
+from repro.runtime import (CHECKPOINT_VERSION, CheckpointError,
+                           OptimizerCheckpoint, load_checkpoint,
+                           peek_checkpoint, record_to_dict,
+                           save_checkpoint, splice_merged_result)
 from repro.runtime.checkpoint import _wc_to_dict
+from repro.yieldsim import OperationalMC
 
 
 def checkpointed_run(tmp_path, name="ck.json"):
@@ -88,7 +94,7 @@ class TestCompaction:
         assert [r.yield_mc for r in resumed.records] == \
             [r.yield_mc for r in result.records]
 
-    def test_version_1_checkpoints_still_load(self, tmp_path):
+    def test_version_1_checkpoints_are_rejected(self, tmp_path):
         path, _, _ = checkpointed_run(tmp_path)
         state = load_checkpoint(path, LinearTemplate())
         # re-serialize the exact payload the version-1 writer produced:
@@ -110,9 +116,8 @@ class TestCompaction:
         }
         legacy = tmp_path / "v1.json"
         legacy.write_text(json.dumps(payload))
-        assert 1 in READABLE_VERSIONS
-        restored = load_checkpoint(str(legacy), LinearTemplate())
-        assert_states_equal(restored, state)
+        with pytest.raises(CheckpointError, match="schema version 1;"):
+            load_checkpoint(str(legacy), LinearTemplate())
 
     def test_compaction_shrinks_the_file(self, tmp_path):
         path, _, _ = checkpointed_run(tmp_path)
@@ -130,6 +135,92 @@ class TestCompaction:
                 [r["worst_case"]
                  for r in json.load(handle)["records"]]))
         assert stored < 0.5 * expanded
+
+
+def verification_result():
+    return OperationalMC().estimate(
+        Evaluator(LinearTemplate()), {"d0": 1.0, "d1": 0.0},
+        {"f>=": {"temp": 27.0}}, n_samples=20, seed=1)
+
+
+def rewrite(path, edit):
+    """Apply ``edit`` to the raw JSON payload of the file at ``path``."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    edit(payload)
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
+#: (file content, what the CheckpointError says)
+MALFORMED = [
+    pytest.param([1, 2], "not an object", id="json-array"),
+    pytest.param({"version": 2}, "lacks field", id="version-only"),
+    pytest.param({"version": 99}, "schema version 99;", id="version-99"),
+]
+
+
+class TestMalformedCheckpoints:
+    """Every reader reports a malformed file as a CheckpointError, never
+    as a stray AttributeError or KeyError from inside the parse."""
+
+    @pytest.mark.parametrize("content, message", MALFORMED)
+    def test_every_reader_raises_checkpoint_error(self, tmp_path,
+                                                  content, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path), LinearTemplate())
+        with pytest.raises(CheckpointError, match=message):
+            peek_checkpoint(str(path))
+        with pytest.raises(CheckpointError, match=message):
+            splice_merged_result(str(path), verification_result())
+
+    @pytest.mark.parametrize("content, message", MALFORMED)
+    def test_cli_exits_with_one_line(self, tmp_path, content, message):
+        """``optimize --resume`` and ``merge-verify --checkpoint`` print
+        the CheckpointError instead of a traceback."""
+        from repro.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        shard = tmp_path / "shard.json"
+        shard.write_text(verification_result().to_json())
+        for argv in (["optimize", "miller", "--checkpoint", str(path),
+                      "--resume"],
+                     ["merge-verify", str(shard), "--json",
+                      "--checkpoint", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            text = str(err.value)
+            assert message in text and str(path) in text
+            assert "\n" not in text
+
+    def test_peek_reads_the_summary_fields(self, tmp_path):
+        path, config, result = checkpointed_run(tmp_path)
+        assert peek_checkpoint(path) == {
+            "version": CHECKPOINT_VERSION,
+            "template_name": LinearTemplate().name, "seed": config.seed,
+            "iteration": len(result.records) - 1, "stop_reason": None}
+
+    def test_malformed_record_names_its_index(self, tmp_path):
+        path, _, _ = checkpointed_run(tmp_path)
+        rewrite(path, lambda payload:
+                payload["records"][1].pop("verify_shrunk"))
+        with pytest.raises(CheckpointError, match="record 1"):
+            load_checkpoint(path, LinearTemplate())
+
+    def test_verification_block_without_statistics(self, tmp_path):
+        path, _, result = checkpointed_run(tmp_path)
+        last = len(result.records) - 1
+
+        def drop_stats(payload):
+            payload["records"][last]["mc"]["data"]["stats"] = None
+
+        rewrite(path, drop_stats)
+        with pytest.raises(CheckpointError, match=f"record {last}"):
+            load_checkpoint(path, LinearTemplate())
+        with pytest.raises(CheckpointError, match="last record"):
+            splice_merged_result(path, verification_result())
 
 
 def hammer_checkpoints(job):

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import LinearTemplate, QuadraticTemplate
-from repro.core.optimizer import (IterationRecord, OptimizerConfig,
-                                  YieldOptimizer)
+from repro.core.optimizer import OptimizerConfig, YieldOptimizer
 from repro.core.feasible_point import find_feasible_point
 from repro.errors import (ConvergenceError, ExtractionError,
                           FeasibilityError, NetlistError, ReproError,
@@ -425,35 +424,6 @@ class TestCheckpoint:
         leftovers = [name for name in os.listdir(tmp_path)
                      if name.endswith(".tmp")]
         assert leftovers == []
-
-    def test_legacy_mc_summary_round_trips(self):
-        """A record whose verification result is the legacy
-        ``MonteCarloResult`` (no ``to_dict``) used to be silently
-        dropped from the checkpoint; it must round-trip through the
-        ``legacy-summary`` stub instead, so ``--resume`` keeps the
-        verification data."""
-        from repro.core.montecarlo import MonteCarloResult
-        from repro.runtime import record_from_dict, record_to_dict
-        legacy = MonteCarloResult(
-            yield_estimate=0.75, n_samples=40,
-            bad_fraction={"f>=": 0.25}, simulations=40,
-            performance_mean={"f>=": 1.25},
-            performance_std={"f>=": 0.5})
-        record = IterationRecord(
-            index=1, d={"d0": 1.0, "d1": 0.0}, margins={"f>=": 2.0},
-            bad_samples={"f>=": 0.1}, yield_linear=0.8, yield_mc=0.75,
-            mc=legacy, worst_case={}, simulations=40,
-            constraint_simulations=0)
-        data = json.loads(json.dumps(record_to_dict(record)))
-        assert data["mc"]["kind"] == "legacy-summary"
-        restored = record_from_dict(data, LinearTemplate())
-        assert isinstance(restored.mc, MonteCarloResult)
-        assert restored.mc.yield_estimate == legacy.yield_estimate
-        assert restored.mc.n_samples == legacy.n_samples
-        assert restored.mc.bad_fraction == legacy.bad_fraction
-        assert restored.mc.simulations == legacy.simulations
-        assert restored.mc.performance_mean == legacy.performance_mean
-        assert restored.mc.performance_std == legacy.performance_std
 
 
 # -- optimizer under injected faults ------------------------------------------

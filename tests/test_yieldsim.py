@@ -1,6 +1,6 @@
 """Tests for the repro.yieldsim estimation subsystem: estimator agreement
 on analytic (linear) templates, importance-sampling diagnostics, Sobol
-draws, interval behavior, and the legacy-shim compatibility."""
+draws, and interval behavior."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from helpers import LinearTemplate
 from repro.core import find_all_worst_case_points
-from repro.core.montecarlo import MonteCarloResult, operational_monte_carlo
 from repro.errors import ReproError
 from repro.evaluation import Evaluator
 from repro.statistics import SampleSet, wilson_interval
@@ -88,33 +87,7 @@ class TestWilsonInterval:
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
-class TestMonteCarloResultInterval:
-    def result(self, y, n=300):
-        return MonteCarloResult(yield_estimate=y, n_samples=n,
-                                bad_fraction={}, simulations=n)
-
-    def test_zero_estimate_has_honest_interval(self):
-        r = self.result(0.0)
-        assert r.standard_error == 0.0  # the documented deficiency
-        low, high = r.confidence_interval()
-        assert low == 0.0 and high > 0.01
-
-    def test_matches_wilson(self):
-        r = self.result(0.5, n=100)
-        assert r.confidence_interval() == wilson_interval(50, 100)
-
-
 class TestOperationalMC:
-    def test_matches_legacy_shim_exactly(self):
-        template, ev = linear_setup()
-        legacy = operational_monte_carlo(ev, D, THETA, n_samples=500,
-                                         seed=8)
-        modern = OperationalMC().estimate(ev, D, THETA, n_samples=500,
-                                          seed=8)
-        assert modern.estimate == legacy.yield_estimate
-        assert modern.bad_fraction == legacy.bad_fraction
-        assert modern.performance_mean == legacy.performance_mean
-
     def test_result_record(self):
         template, ev = linear_setup()
         r = OperationalMC().estimate(ev, D, THETA, n_samples=200, seed=1)
@@ -125,8 +98,6 @@ class TestOperationalMC:
         assert r.report.theta_groups == 1
         assert r.report.backend == "serial"
         assert "simulate" in r.report.phase_seconds
-        # duck-compatibility with the legacy record
-        assert r.yield_estimate == r.estimate
         assert r.standard_error > 0
 
     def test_json_round_trip(self):

@@ -23,7 +23,8 @@ from repro.core import find_all_worst_case_points
 from repro.core.optimizer import OptimizerConfig, YieldOptimizer
 from repro.errors import ReproError
 from repro.evaluation import Evaluator
-from repro.runtime import splice_merged_result
+from repro.runtime import (OptimizerCheckpoint, save_checkpoint,
+                           splice_merged_result)
 from repro.statistics import SampleSet, wilson_interval
 from repro.yieldsim import (MeanShiftIS, OperationalMC, ShardPlan,
                             SimulatorHealth, SobolQMC, SufficientStats,
@@ -298,12 +299,6 @@ class TestMergeValidation:
         with pytest.raises(ReproError, match="different estimators"):
             merge_results([binomial_result(5, 10), qmc])
 
-    def test_rejects_records_without_statistics(self):
-        legacy = binomial_result(5, 10)
-        legacy.stats = None
-        with pytest.raises(ReproError, match="no sufficient statistics"):
-            merge_results([binomial_result(5, 10), legacy])
-
     def test_rejects_mixed_levels_without_explicit_level(self):
         other = binomial_result(5, 10)
         other.ci_level = 0.9
@@ -389,14 +384,6 @@ class TestResultStatistics:
         assert result.confidence_interval(0.99) == wilson_interval(25, 40,
                                                                    0.99)
 
-    def test_legacy_records_raise_for_other_levels(self):
-        legacy = binomial_result(25, 40)
-        legacy.stats = None
-        assert legacy.confidence_interval(0.95) == (legacy.ci_low,
-                                                    legacy.ci_high)
-        with pytest.raises(ValueError):
-            legacy.confidence_interval(0.99)
-
 
 class TestOptimizerShardedVerification:
     def quick_config(self, **overrides):
@@ -470,10 +457,11 @@ class TestCheckpointSplice:
         missing = str(tmp_path / "missing.json")
         with pytest.raises(CheckpointError):
             splice_merged_result(missing, merged)
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"version": 1, "records": []}))
+        empty = str(tmp_path / "empty.json")
+        save_checkpoint(empty, OptimizerCheckpoint(
+            template_name="ota", seed=3, iteration=0, d_f={}))
         with pytest.raises(CheckpointError, match="no iteration records"):
-            splice_merged_result(str(empty), merged)
+            splice_merged_result(empty, merged)
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"version": 99, "records": [{}]}))
         with pytest.raises(CheckpointError, match="schema version"):
