@@ -540,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="mc",
                    help="Y_tilde verification estimator (default: mc)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for verification batches")
+                   help="worker processes of the run's process pool "
+                        "(1 = serial)")
     p.add_argument("--batch-samples", type=int, default=None,
                    metavar="K",
                    help="samples per vectorized verification-MC chunk "
@@ -589,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (1 = serial)")
     p.add_argument("--chunk-timeout", type=float, default=None,
-                   help="per-chunk timeout [s] before the in-parent retry")
+                   help="per-chunk wait [s]; a timeout kills the pool "
+                        "and re-runs the chunks in the parent")
     p.add_argument("--batch-samples", type=int, default=None,
                    metavar="K",
                    help="samples per vectorized simulation chunk "

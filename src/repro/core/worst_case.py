@@ -24,17 +24,11 @@ as a final fallback.
 from __future__ import annotations
 
 import math
-from concurrent import futures as _futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
-
-#: Exceptions that mark the shared pool dead (vs. a single failed task,
-#: which is simply retried serially in the parent).
-_POOL_FATAL = (_futures.TimeoutError, BrokenProcessPool)
 
 from ..errors import WorstCaseError
 from ..evaluation.evaluator import Evaluator
@@ -322,55 +316,17 @@ def find_all_worst_case_points(
     """
     from ..spec.operating import spec_key
     specs = list(evaluator.template.specs)
-    warm_starts = {
-        spec_key(spec): (previous[spec_key(spec)].s_wc
-                         if previous and spec_key(spec) in previous else None)
-        for spec in specs}
-
-    results: Dict[str, WorstCaseResult] = {}
-    remaining = list(specs)
+    tasks = []
+    for spec in specs:
+        key = spec_key(spec)
+        s_start = previous[key].s_wc if previous and key in previous \
+            else None
+        tasks.append((spec, dict(d), dict(theta_per_spec[key]), s_start,
+                      multistart, seed))
     if pool is not None and pool.alive and pool.compatible(evaluator) \
             and len(specs) > 1:
-        from ..yieldsim.executor import fold_task, unwrap_pool_stack
-        maybe = unwrap_pool_stack(evaluator)
-        _, policy, fail_mode = maybe
-        from ..yieldsim.executor import _pool_worst_case
-        pending = []
-        for spec in specs:
-            key = spec_key(spec)
-            pending.append((spec, pool.submit(
-                _pool_worst_case, spec, dict(d),
-                dict(theta_per_spec[key]), warm_starts[key],
-                multistart, seed, policy, fail_mode)))
-        from ..yieldsim.executor import BatchExecutor
-        remaining = []
-        for spec, future in pending:
-            key = spec_key(spec)
-            if not pool.alive:
-                # Pool died mid-batch: still harvest searches that
-                # finished before the collapse (results are identical).
-                harvest = BatchExecutor._harvest_finished(future)
-                if harvest is not None:
-                    result, counts = harvest
-                    fold_task(evaluator, counts)
-                    results[key] = result
-                else:
-                    remaining.append(spec)
-                continue
-            try:
-                result, counts = future.result(timeout=pool.task_timeout_s)
-                fold_task(evaluator, counts)
-                results[key] = result
-            except _POOL_FATAL:
-                pool.kill()
-                remaining.append(spec)
-            except Exception:
-                remaining.append(spec)
-    for spec in remaining:
-        key = spec_key(spec)
-        results[key] = find_worst_case_point(
-            evaluator, spec, d, theta_per_spec[key],
-            s_start=warm_starts[key], multistart=multistart, seed=seed)
-    # Re-key in template spec order so downstream iteration order never
-    # depends on which path produced each entry.
-    return {spec_key(spec): results[spec_key(spec)] for spec in specs}
+        found = pool.run_tasks(find_worst_case_point, tasks,
+                               evaluator).results
+    else:
+        found = [find_worst_case_point(evaluator, *task) for task in tasks]
+    return {spec_key(spec): result for spec, result in zip(specs, found)}

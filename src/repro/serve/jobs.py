@@ -444,15 +444,10 @@ def execute_optimize(request: OptimizeRequest,
         verify_shard=verify_shard,
         linsolve=request.linsolve,
         batch_samples=request.batch_samples)
-    # The optimizer owns a persistent shared pool when jobs >= 2 and the
-    # stack is worker-replicable; the estimator's own per-call pool is
-    # kept only for externally supplied evaluation stacks the shared
-    # pool cannot serve (e.g. fault injection, which must stay serial in
-    # the parent).
-    verifier = make_estimator(
-        request.estimator,
-        jobs=1 if evaluator is None else request.jobs,
-        batch_samples=request.batch_samples)
+    # The optimizer's pool is the only pool of the run (it serves the
+    # verification Monte-Carlo too).
+    verifier = make_estimator(request.estimator,
+                              batch_samples=request.batch_samples)
     return YieldOptimizer(
         template, config, evaluator=evaluator, verifier=verifier,
         budget=budget, checkpoint_path=checkpoint_path,

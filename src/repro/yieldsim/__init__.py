@@ -14,8 +14,9 @@ estimators, one parallel batch engine underneath:
   integrands,
 
 * :class:`BatchExecutor` / :class:`ExecutionConfig` — serial or
-  process-pool execution with chunking, per-chunk timeout + retry, and
-  deterministic result ordering regardless of worker count,
+  pooled execution on the one process pool (:class:`PoolHandle`) with
+  chunking, a per-task timeout, in-parent re-runs, and results and
+  counters identical to serial regardless of worker count,
 * :class:`RunReport` — JSON-serializable per-run telemetry (simulations,
   cache hits, wall time per phase),
 * :class:`ShardPlan` / :func:`merge_results` — deterministic sub-stream

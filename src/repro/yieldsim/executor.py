@@ -3,53 +3,52 @@
 Every yield estimator reduces to the same inner loop: evaluate each
 statistical sample at each distinct worst-case operating corner.  This
 module runs that loop either serially (sharing the caller's cached
-:class:`~repro.evaluation.evaluator.Evaluator`) or on a process pool:
+:class:`~repro.evaluation.evaluator.Evaluator`) or on a
+:class:`PoolHandle`, the one process pool of the package:
 
-* the sample matrix is split into contiguous **chunks**, one pool task
-  each, so per-task overhead amortizes over many simulations;
-* each worker process builds its **own** evaluator around the (pickled)
-  circuit template — templates are pure analytic objects, so results are
+* an optimizer run creates one handle and shares it across the per-spec
+  Eq.-8 worst-case searches, the finite-difference gradient probes and
+  the verification Monte-Carlo, so worker spawn and template pickling
+  are paid once; a standalone :class:`BatchExecutor` run with
+  ``jobs >= 2`` opens one for the call;
+* each worker owns one cached evaluator around the template and runs a
+  task with the same function as the serial path (a Monte-Carlo chunk
+  goes through the sample-batched engine either way), so values are
   bit-identical to serial evaluation;
-* each chunk has a **timeout and one retry**: a chunk that raises in the
-  pool is re-run serially in the parent, which always terminates, so a
-  wedged worker cannot hang a verification run;
-* a chunk **timeout** or a ``BrokenProcessPool`` marks the pool dead: its
-  workers are terminated (a truly hung process must not outlive the run)
-  and the remainder of the batch **degrades to serial** in-parent
-  execution — already-finished chunk results are still harvested, and
-  nothing is retried against a dead pool;
-* results are reassembled **by chunk index**, so the output ordering (and
-  therefore every downstream estimate) is independent of worker count and
-  scheduling;
-* worker-side simulation/cache counters are folded back into the parent
-  evaluator, keeping Table-7 effort accounting complete.
-
-:class:`PoolHandle` is the persistent variant: one process pool created
-per optimizer run and shared by the worst-case searches, the
-finite-difference gradient probes and the verification Monte-Carlo, so
-worker spawn and template pickling are paid once instead of per batch.
-Workers ship back the **cache entries** each task added (not just the
-counter deltas); the parent folds them in a deterministic task order via
-:meth:`repro.evaluation.evaluator.Evaluator.absorb_cache`, which makes
-the parent cache — and therefore every Table-7 counter — identical to a
-serial run's, and keeps the evaluations themselves bit-identical (values
-never depend on which process computed them).
+* :meth:`PoolHandle.run_tasks` is the one dispatch loop.  It waits on
+  the tasks in dispatch order, each for the handle's ``task_timeout_s``,
+  and re-runs a task that raised serially in the parent.  A timeout or
+  a ``BrokenProcessPool`` marks the pool dead: its workers are
+  terminated (a hung process must not outlive the run), tasks that
+  finished before the collapse are harvested and the rest run serially
+  in the parent;
+* workers ship back the **cache entries** each task added plus its
+  warm-start, DC-effort and fault-policy counter deltas; the parent
+  folds them in dispatch order via :func:`fold_task`, which reproduces
+  a serial run's cache and every Table-7 counter;
+* an evaluation stack the workers cannot replicate (e.g. a
+  fault-injecting wrapper, whose call-order state lives in the parent)
+  runs serially.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
 import sys
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
+
+_LOG = logging.getLogger(__name__)
 
 #: Chunks submitted per worker (when no explicit chunk size is given):
 #: small enough to balance uneven chunk runtimes, large enough to
@@ -65,14 +64,13 @@ class ExecutionConfig:
     jobs: int = 1
     #: samples per pool task (None = automatic)
     chunk_size: Optional[int] = None
-    #: per-chunk wait budget in seconds (None = wait forever)
+    #: per-task wait budget in seconds of the pool a standalone run
+    #: opens (None = wait forever); an attached pool keeps its own
     timeout_s: Optional[float] = None
-    #: serial in-parent re-runs for a failed/timed-out chunk
-    retries: int = 1
-    #: samples per vectorized simulation chunk on the in-process path
-    #: (None = auto: the template's default chunk; 1 = force the scalar
-    #: per-sample path).  Only affects templates with a sample-batched
-    #: engine; results are bit-identical either way.
+    #: samples per vectorized simulation chunk (None = auto: the
+    #: template's default chunk; 1 = force the scalar per-sample path).
+    #: Only affects templates with a sample-batched engine; results are
+    #: bit-identical either way.
     batch_samples: Optional[int] = None
 
     def __post_init__(self):
@@ -81,8 +79,6 @@ class ExecutionConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ReproError(
                 f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.retries < 0:
-            raise ReproError(f"retries must be >= 0, got {self.retries}")
         if self.batch_samples is not None and self.batch_samples < 1:
             raise ReproError(
                 f"batch_samples must be >= 1, got {self.batch_samples}")
@@ -110,40 +106,10 @@ class BatchOutcome:
     #: True when the pool died (timeout-killed or broken workers) and the
     #: remaining chunks ran serially in the parent
     degraded_to_serial: bool = False
-    #: True when an alive pool was attached but could not serve this
-    #: evaluation stack (template mismatch / non-replicable wrapper), so
-    #: the batch ran serially despite a healthy pool
+    #: True when a pool was wanted (attached and alive, or ``jobs >= 2``)
+    #: but could not serve this evaluation stack (template mismatch /
+    #: non-replicable wrapper), so the batch ran serially
     pool_incompatible: bool = False
-
-
-# -- worker side -------------------------------------------------------------
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(template, cache_enabled: bool,
-                 d: Dict[str, float], thetas: List[Dict[str, float]]):
-    """Pool initializer: build a private evaluator in each worker."""
-    _WORKER["evaluator"] = Evaluator(template, cache=cache_enabled)
-    _WORKER["d"] = d
-    _WORKER["thetas"] = thetas
-
-
-def _run_chunk(start: int, rows: np.ndarray
-               ) -> Tuple[int, List[List[Dict[str, float]]], int, int, int,
-                          int]:
-    """Evaluate one chunk inside a worker; returns counter deltas."""
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    d = _WORKER["d"]
-    thetas = _WORKER["thetas"]
-    before = (evaluator.simulation_count, evaluator.request_count,
-              evaluator.cache_hits, evaluator.cache_misses)
-    values = [[dict(evaluator.evaluate(d, row, theta)) for theta in thetas]
-              for row in rows]
-    return (start, values,
-            evaluator.simulation_count - before[0],
-            evaluator.request_count - before[1],
-            evaluator.cache_hits - before[2],
-            evaluator.cache_misses - before[3])
 
 
 def _pool_context():
@@ -157,7 +123,37 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-# -- persistent shared pool ---------------------------------------------------
+# -- task functions (run in a worker, or serially in the parent) --------------
+def _evaluate_rows(evaluator, d: Mapping[str, float],
+                   thetas: Sequence[Mapping[str, float]],
+                   rows: Sequence[np.ndarray],
+                   batch_samples: Optional[int] = None
+                   ) -> List[List[Dict[str, float]]]:
+    """``values[j][g]`` of every row at every theta: through the
+    sample-batched engine when the stack allows it, else the scalar
+    per-row loop.  The serial path and every pooled Monte-Carlo chunk
+    run this one function."""
+    values = None
+    if len(rows) > 1 and batch_samples != 1:
+        values = batched_columns(evaluator, d, thetas, rows, batch_samples)
+    if values is None:
+        values = [[dict(evaluator.evaluate(d, row, theta))
+                   for theta in thetas] for row in rows]
+    return values
+
+
+def _evaluate_points(evaluator, points: Sequence[Tuple]
+                     ) -> List[Dict[str, float]]:
+    """Values at a list of ``(d, s_hat, theta)`` points (the
+    finite-difference gradient probes)."""
+    return [dict(evaluator.evaluate(d, s_hat, theta))
+            for d, s_hat, theta in points]
+
+
+# -- worker side ---------------------------------------------------------------
+_WORKER: Dict[str, object] = {}
+
+
 @dataclass
 class TaskCounts:
     """Evaluator-side effort of one pool task, in parent-foldable form.
@@ -190,18 +186,6 @@ def _init_pool_worker(template, cache_enabled: bool) -> None:
     _WORKER["evaluator"] = Evaluator(template, cache=cache_enabled)
 
 
-def _task_target(policy, fail_mode):
-    """The evaluation target of one pool task: the worker evaluator,
-    wrapped in a fresh fault-tolerant facade when the parent runs one
-    (fresh => its counters are exactly this task's deltas)."""
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    if policy is None:
-        return evaluator, None
-    from ..runtime.tolerant import FaultTolerantEvaluator
-    guarded = FaultTolerantEvaluator(evaluator, policy, fail_mode)
-    return guarded, guarded
-
-
 def _warm_stats(evaluator: Evaluator) -> Dict[str, int]:
     stats = getattr(evaluator.template, "warm_cache_stats", None)
     return stats() if callable(stats) else {}
@@ -212,71 +196,40 @@ def _dc_stats(evaluator: Evaluator) -> Dict[str, int]:
     return stats() if callable(stats) else {}
 
 
-def _task_snapshot(evaluator: Evaluator) -> Tuple:
-    return (evaluator.request_count, evaluator.cache_hits,
-            evaluator.simulation_count, evaluator.cache_size,
-            _warm_stats(evaluator), _dc_stats(evaluator))
-
-
-def _task_counts(evaluator: Evaluator, before: Tuple,
-                 guarded) -> TaskCounts:
+def _pool_task(fn: Callable, task: Tuple, policy, fail_mode
+               ) -> Tuple[object, TaskCounts]:
+    """Run ``fn(target, *task)`` inside a worker; returns its value and
+    the task's effort.  The target is the worker evaluator, wrapped in a
+    fresh fault-tolerant facade when the parent runs one (fresh => its
+    counters are exactly this task's deltas)."""
     from ..circuit.dc import DcEffort, WarmStartCache
-    requests0, hits0, simulations0, cache_len0, warm0, dc0 = before
-    warm = WarmStartCache.counter_delta(_warm_stats(evaluator), warm0) \
-        if warm0 else {}
-    dc_after = _dc_stats(evaluator)
-    dc = DcEffort.counter_delta(dc_after, dc0) if dc_after or dc0 else {}
-    return TaskCounts(
-        requests=evaluator.request_count - requests0,
-        hits=evaluator.cache_hits - hits0,
-        simulations=evaluator.simulation_count - simulations0,
-        entries=evaluator.cache_items_since(cache_len0),
-        failed=guarded.failed_evaluations if guarded else 0,
-        retried=guarded.retried_evaluations if guarded else 0,
-        recovered=guarded.recovered_evaluations if guarded else 0,
-        warm=warm, dc=dc)
-
-
-def _pool_worst_case(spec, d: Dict[str, float], theta: Dict[str, float],
-                     s_start, multistart: int, seed: int,
-                     policy, fail_mode) -> Tuple[object, TaskCounts]:
-    """One Eq.-8 worst-case search inside a worker."""
-    from ..core.worst_case import find_worst_case_point
-    target, guarded = _task_target(policy, fail_mode)
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    result = find_worst_case_point(target, spec, d, theta, s_start=s_start,
-                                   multistart=multistart, seed=seed)
-    return result, _task_counts(evaluator, before, guarded)
+    target, guarded = evaluator, None
+    if policy is not None:
+        from ..runtime.tolerant import FaultTolerantEvaluator
+        target = guarded = FaultTolerantEvaluator(evaluator, policy,
+                                                  fail_mode)
+    requests, hits = evaluator.request_count, evaluator.cache_hits
+    simulations, size = evaluator.simulation_count, evaluator.cache_size
+    warm0, dc0 = _warm_stats(evaluator), _dc_stats(evaluator)
+    value = fn(target, *task)
+    dc = _dc_stats(evaluator)
+    counts = TaskCounts(
+        requests=evaluator.request_count - requests,
+        hits=evaluator.cache_hits - hits,
+        simulations=evaluator.simulation_count - simulations,
+        entries=evaluator.cache_items_since(size),
+        warm=WarmStartCache.counter_delta(_warm_stats(evaluator), warm0)
+        if warm0 else {},
+        dc=DcEffort.counter_delta(dc, dc0) if dc or dc0 else {})
+    if guarded is not None:
+        counts.failed = guarded.failed_evaluations
+        counts.retried = guarded.retried_evaluations
+        counts.recovered = guarded.recovered_evaluations
+    return value, counts
 
 
-def _pool_points(points: List[Tuple[Dict[str, float], np.ndarray,
-                                    Dict[str, float]]],
-                 policy, fail_mode
-                 ) -> Tuple[List[Dict[str, float]], TaskCounts]:
-    """Evaluate a list of ``(d, s_hat, theta)`` points inside a worker
-    (finite-difference gradient probes)."""
-    target, guarded = _task_target(policy, fail_mode)
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    values = [dict(target.evaluate(d, s_hat, theta))
-              for d, s_hat, theta in points]
-    return values, _task_counts(evaluator, before, guarded)
-
-
-def _pool_chunk_shared(d: Dict[str, float],
-                       thetas: List[Dict[str, float]], rows: np.ndarray,
-                       policy, fail_mode
-                       ) -> Tuple[List[List[Dict[str, float]]], TaskCounts]:
-    """Evaluate one Monte-Carlo chunk on the persistent pool."""
-    target, guarded = _task_target(policy, fail_mode)
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    values = [[dict(target.evaluate(d, row, theta)) for theta in thetas]
-              for row in rows]
-    return values, _task_counts(evaluator, before, guarded)
-
-
+# -- parent side ---------------------------------------------------------------
 def unwrap_pool_stack(evaluator):
     """``(inner, policy, fail_mode)`` when ``evaluator`` is an evaluation
     stack that pool workers can replicate exactly — a plain
@@ -333,14 +286,29 @@ def fold_task(evaluator, counts: TaskCounts) -> None:
             dc_effort.absorb(counts.dc)
 
 
-class PoolHandle:
-    """A persistent process pool shared across the phases of one run.
+@dataclass
+class TaskRun:
+    """What one :meth:`PoolHandle.run_tasks` call did."""
 
-    Created once (e.g. per optimizer run) from the run's evaluation
-    stack; the worst-case search, the gradient probes and the
-    verification Monte-Carlo all submit tasks to the same workers, so
-    process spawn and template pickling are paid once.  Each worker owns
-    one cached :class:`Evaluator` that persists across tasks.
+    #: one result per task, in task order
+    results: List[object]
+    #: tasks whose wait exceeded the pool's timeout (the first kills it)
+    timed_out: int = 0
+    #: tasks run serially in the parent (raised, timed out, or lost
+    #: with the pool)
+    rerun: int = 0
+    #: the pool died during the call
+    died: bool = False
+
+
+class PoolHandle:
+    """The process pool: persistent across the phases of one run.
+
+    Created from a run's evaluation stack, once per optimizer run (the
+    worst-case search, the gradient probes and the verification
+    Monte-Carlo all dispatch to the same workers, so process spawn and
+    template pickling are paid once) or once per standalone batch.  Each
+    worker owns one cached :class:`Evaluator` that persists across tasks.
 
     A timeout or broken pool marks the handle **dead** (workers are
     terminated); every dispatcher checks :attr:`alive` and falls back to
@@ -354,7 +322,7 @@ class PoolHandle:
         self.template = template
         self.jobs = jobs
         self.cache_enabled = cache_enabled
-        #: per-task wait budget for non-MC tasks (None = wait forever)
+        #: per-task wait budget in seconds (None = wait forever)
         self.task_timeout_s = task_timeout_s
         self.tasks_dispatched = 0
         self._dead = False
@@ -388,16 +356,85 @@ class PoolHandle:
         maybe = unwrap_pool_stack(evaluator)
         return maybe is not None and maybe[0].template is self.template
 
-    def submit(self, fn, *args) -> futures.Future:
-        self.tasks_dispatched += 1
-        return self._pool.submit(fn, *args)
+    def run_tasks(self, fn: Callable, tasks: Sequence[Tuple], evaluator,
+                  serial: Optional[Callable] = None) -> TaskRun:
+        """Run ``fn(target, *task)`` for every task on the workers — the
+        one dispatch loop of the pool.
+
+        The handle must be alive and :meth:`compatible` with
+        ``evaluator``.  Results are awaited in dispatch order and each
+        task's effort is folded into ``evaluator`` in that order
+        (:func:`fold_task`).  A task that raised, or that was lost with
+        the pool, runs ``serial(task)`` in the parent instead (default
+        ``fn(evaluator, *task)``), so results and accounting come out
+        identical to a serial run either way.  A timeout or a broken
+        pool kills the workers; tasks that finished before the death are
+        still harvested.
+        """
+        if serial is None:
+            def serial(task):
+                return fn(evaluator, *task)
+        _, policy, fail_mode = unwrap_pool_stack(evaluator)
+        pending = [self._pool.submit(_pool_task, fn, task, policy,
+                                     fail_mode) for task in tasks]
+        self.tasks_dispatched += len(pending)
+        run = TaskRun(results=[])
+        cause = None
+        for task, future in zip(tasks, pending):
+            payload = None
+            if self.alive:
+                try:
+                    payload = future.result(timeout=self.task_timeout_s)
+                except futures.TimeoutError:
+                    run.timed_out += 1
+                    cause = "task timeout"
+                    self.kill()
+                except BrokenProcessPool:
+                    cause = "broken process pool"
+                    self.kill()
+                except Exception:
+                    pass  # the task raised: re-run it in the parent
+            elif future.done() and not future.cancelled() \
+                    and future.exception() is None:
+                payload = future.result()  # finished before the death
+            if payload is None:
+                run.rerun += 1
+                run.results.append(serial(task))
+            else:
+                value, counts = payload
+                fold_task(evaluator, counts)
+                run.results.append(value)
+        if cause is not None:
+            run.died = True
+            _LOG.warning("process pool died (%s): %d of %d tasks re-run "
+                         "serially in the parent", cause, run.rerun,
+                         len(tasks))
+        return run
 
     def kill(self) -> None:
-        """Terminate the workers and mark the handle dead (used on
-        timeout/breakage; all later dispatches degrade to serial)."""
-        if not self._dead:
-            self._dead = True
-            BatchExecutor._kill_pool(self._pool)
+        """Terminate the workers without waiting and mark the handle
+        dead (used on timeout/breakage; later dispatches go serial).
+
+        ``Future.cancel`` has no effect on a *running* future, so a hung
+        worker would outlive the run if the executor were merely shut
+        down; terminate the worker processes explicitly (and escalate to
+        SIGKILL if termination does not take).  The process list must be
+        snapshotted *before* ``shutdown``, which drops the pool's
+        reference to it."""
+        if self._dead:
+            return
+        self._dead = True
+        processes = list((getattr(self._pool, "_processes", None) or {})
+                         .values())
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        for process in processes:
+            process.join(timeout=1.0)
+            if process.is_alive():  # pragma: no cover - last resort
+                process.kill()
+                process.join(timeout=1.0)
 
     def close(self) -> None:
         """Orderly shutdown at end of run.  Waits for teardown: an
@@ -420,43 +457,19 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
                     points: Sequence[Tuple[Mapping[str, float], np.ndarray,
                                            Mapping[str, float]]]
                     ) -> Optional[List[Dict[str, float]]]:
-    """Evaluate ``points`` on the pool, folding effort back in dispatch
-    order; returns the value dicts in input order, or None when the pool
-    path is unavailable (caller then runs its serial loop).
-
-    A failed or timed-out task is re-evaluated serially on the parent —
-    the values and parent-side accounting come out identical either way.
-    """
+    """Evaluate ``points`` on the pool, one task per worker; returns the
+    value dicts in input order, or None when the pool path is
+    unavailable (caller then runs its serial loop)."""
     if pool is None or not pool.alive or not pool.compatible(evaluator) \
             or len(points) < 2:
         return None
-    maybe = unwrap_pool_stack(evaluator)
-    assert maybe is not None
-    _, policy, fail_mode = maybe
     plain = [(dict(d), np.asarray(s_hat, dtype=float), dict(theta))
              for d, s_hat, theta in points]
     size = max(1, math.ceil(len(plain) / pool.jobs))
-    chunks = [plain[start:start + size]
-              for start in range(0, len(plain), size)]
-    pending = [pool.submit(_pool_points, chunk, policy, fail_mode)
-               for chunk in chunks]
-    values: List[Dict[str, float]] = []
-    for chunk, future in zip(chunks, pending):
-        chunk_values = None
-        if pool.alive:
-            try:
-                chunk_values, counts = future.result(
-                    timeout=pool.task_timeout_s)
-                fold_task(evaluator, counts)
-            except (futures.TimeoutError, BrokenProcessPool):
-                pool.kill()
-            except Exception:
-                chunk_values = None  # re-run serially below
-        if chunk_values is None:
-            chunk_values = [dict(evaluator.evaluate(d, s_hat, theta))
-                            for d, s_hat, theta in chunk]
-        values.extend(chunk_values)
-    return values
+    tasks = [(plain[start:start + size],)
+             for start in range(0, len(plain), size)]
+    run = pool.run_tasks(_evaluate_points, tasks, evaluator)
+    return [value for chunk in run.results for value in chunk]
 
 
 def batched_columns(evaluator, d: Mapping[str, float],
@@ -477,7 +490,7 @@ def batched_columns(evaluator, d: Mapping[str, float],
     Monte-Carlo executor and the finite-difference gradient probes.
 
     Fault handling replicates the serial stack: a row whose first
-    attempt raised is resumed through the parent's
+    attempt raised is resumed through the stack's
     :meth:`~repro.runtime.tolerant.FaultTolerantEvaluator.
     resume_after_failure` (same classification, same deterministic
     jitter, same counters).  Without a policy the serial loop would
@@ -512,12 +525,13 @@ def batched_columns(evaluator, d: Mapping[str, float],
 
 # -- driver ------------------------------------------------------------------
 class BatchExecutor:
-    """Drives an :class:`Evaluator` over a sample matrix in batches.
+    """Drives an :class:`Evaluator` over a sample matrix in chunks.
 
-    With a :class:`PoolHandle` attached, batches run on the persistent
-    shared pool (when the evaluator stack is worker-replicable); a dead
-    handle degrades to the serial path.  Without one, ``config.jobs > 1``
-    spawns a throwaway per-call pool (the legacy path).
+    Chunks run on a :class:`PoolHandle`: the attached one (an optimizer
+    run's shared pool) or, with ``config.jobs >= 2`` and none attached,
+    one opened for this call.  A single-row matrix, a dead pool and a
+    stack the pool cannot serve run the serial path instead, which
+    gives the same values and counts.
     """
 
     def __init__(self, config: Optional[ExecutionConfig] = None,
@@ -534,10 +548,12 @@ class BatchExecutor:
             raise ReproError("sample matrix must be 2-D (n, dim)")
         if not thetas:
             raise ReproError("at least one operating point is required")
+        n = matrix.shape[0]
         if self.pool is not None:
             compatible = self.pool.compatible(evaluator)
-            if self.pool.alive and compatible and matrix.shape[0] > 1:
-                return self._run_shared_pool(evaluator, d, thetas, matrix)
+            if self.pool.alive and compatible and n > 1:
+                return self._run_pooled(self.pool, evaluator, d, thetas,
+                                        matrix)
             outcome = self._run_serial(evaluator, d, thetas, matrix)
             # Telemetry must name the *reason* the pool went unused: an
             # incompatible stack is flagged even while the pool is
@@ -546,26 +562,27 @@ class BatchExecutor:
             # serially by design, dead pool or not).
             if not compatible:
                 outcome.pool_incompatible = True
-            elif not self.pool.alive and matrix.shape[0] > 1:
+            elif not self.pool.alive and n > 1:
                 outcome.degraded_to_serial = True
             return outcome
-        if self.config.jobs == 1 or matrix.shape[0] == 1:
+        if self.config.jobs == 1 or n == 1:
             return self._run_serial(evaluator, d, thetas, matrix)
-        return self._run_pool(evaluator, d, thetas, matrix)
+        pool = PoolHandle.for_evaluator(evaluator, self.config.jobs,
+                                        task_timeout_s=self.config.timeout_s)
+        if pool is None:
+            outcome = self._run_serial(evaluator, d, thetas, matrix)
+            outcome.pool_incompatible = True
+            return outcome
+        with pool:
+            return self._run_pooled(pool, evaluator, d, thetas, matrix)
 
-    # -- serial ----------------------------------------------------------------
     def _run_serial(self, evaluator: Evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
                     matrix: np.ndarray) -> BatchOutcome:
         before = (evaluator.simulation_count, evaluator.request_count,
                   evaluator.cache_hits, evaluator.cache_misses)
-        values = None
-        if matrix.shape[0] > 1 and self.config.batch_samples != 1:
-            values = batched_columns(evaluator, d, thetas, matrix,
-                                     self.config.batch_samples)
-        if values is None:
-            values = [[dict(evaluator.evaluate(d, row, theta))
-                       for theta in thetas] for row in matrix]
+        values = _evaluate_rows(evaluator, d, thetas, matrix,
+                                self.config.batch_samples)
         return BatchOutcome(
             values=values,
             simulations=evaluator.simulation_count - before[0],
@@ -574,211 +591,38 @@ class BatchExecutor:
             cache_misses=evaluator.cache_misses - before[3],
             backend="serial", jobs=1, chunks=1)
 
-    # -- process pool ----------------------------------------------------------
-    def _chunk_bounds(self, n: int) -> List[Tuple[int, int]]:
-        size = self.config.chunk_size
-        if size is None:
-            size = max(1, math.ceil(n / (self.config.jobs
-                                         * _CHUNKS_PER_WORKER)))
-        return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-    def _retry_chunk(self, evaluator: Evaluator, d: Mapping[str, float],
-                     thetas: Sequence[Mapping[str, float]],
-                     rows: np.ndarray, error: BaseException
-                     ) -> List[List[Dict[str, float]]]:
-        """In-parent serial re-run of one failed chunk (counts on the
-        parent evaluator directly)."""
-        last: BaseException = error
-        for _ in range(self.config.retries):
-            try:
-                return [[dict(evaluator.evaluate(d, row, theta))
-                         for theta in thetas] for row in rows]
-            except Exception as exc:
-                last = exc
-        raise ReproError(
-            f"batch chunk failed after {self.config.retries} "
-            f"retr{'y' if self.config.retries == 1 else 'ies'}: {last}"
-        ) from last
-
-    @staticmethod
-    def _kill_pool(pool: futures.ProcessPoolExecutor) -> None:
-        """Tear a (possibly wedged) pool down without waiting.
-
-        ``Future.cancel`` has no effect on a *running* future, so a hung
-        worker would outlive the run if we merely shut the executor
-        down; terminate the worker processes explicitly (and escalate to
-        SIGKILL if termination does not take).  The process list must be
-        snapshotted *before* ``shutdown``, which drops the pool's
-        reference to it."""
-        processes = list((getattr(pool, "_processes", None) or {})
-                         .values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - last resort
-                process.kill()
-                process.join(timeout=1.0)
-
-    @staticmethod
-    def _harvest_finished(future):
-        """The payload of a future that completed *before* the pool
-        died, else None (cancelled / still running / poisoned)."""
-        if not future.done() or future.cancelled():
-            return None
-        try:
-            return future.result(timeout=0)
-        except Exception:
-            return None
-
-    # -- persistent shared pool ------------------------------------------------
-    def _run_shared_pool(self, evaluator, d: Mapping[str, float],
-                         thetas: Sequence[Mapping[str, float]],
-                         matrix: np.ndarray) -> BatchOutcome:
-        pool = self.pool
-        assert pool is not None
-        maybe = unwrap_pool_stack(evaluator)
-        assert maybe is not None
-        inner, policy, fail_mode = maybe
+    def _run_pooled(self, pool: PoolHandle, evaluator,
+                    d: Mapping[str, float],
+                    thetas: Sequence[Mapping[str, float]],
+                    matrix: np.ndarray) -> BatchOutcome:
+        inner = unwrap_pool_stack(evaluator)[0]
         n = matrix.shape[0]
-        size = self.config.chunk_size
-        if size is None:
-            size = max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
-        bounds = [(start, min(start + size, n))
-                  for start in range(0, n, size)]
+        size = self.config.chunk_size \
+            or max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
         d_plain = dict(d)
         thetas_plain = [dict(theta) for theta in thetas]
-        outcome = BatchOutcome(values=[[] for _ in range(n)],
-                               backend="process-pool", jobs=pool.jobs,
-                               chunks=len(bounds))
+        tasks = [(d_plain, thetas_plain, matrix[start:start + size],
+                  self.config.batch_samples)
+                 for start in range(0, n, size)]
+
+        def rerun(task):
+            try:
+                return _evaluate_rows(evaluator, *task)
+            except Exception as exc:
+                raise ReproError(
+                    f"batch chunk failed in the pool and again on its "
+                    f"in-parent re-run: {exc}") from exc
+
         before = (inner.simulation_count, inner.request_count,
                   inner.cache_hits, inner.cache_misses)
-        pending = [pool.submit(_pool_chunk_shared, d_plain, thetas_plain,
-                               matrix[start:end], policy, fail_mode)
-                   for start, end in bounds]
-        for (start, end), future in zip(bounds, pending):
-            values = None
-            if pool.alive:
-                try:
-                    values, counts = future.result(
-                        timeout=self.config.timeout_s)
-                    fold_task(evaluator, counts)
-                except futures.TimeoutError:
-                    outcome.timed_out_chunks += 1
-                    pool.kill()
-                except BrokenProcessPool:
-                    pool.kill()
-                except Exception as exc:
-                    outcome.retried_chunks += 1
-                    values = self._retry_chunk(evaluator, d_plain,
-                                               thetas_plain,
-                                               matrix[start:end], exc)
-            if values is None:
-                # The shared pool died: harvest what finished, run the
-                # rest serially in the parent (results are identical).
-                outcome.degraded_to_serial = True
-                harvest = self._harvest_finished(future)
-                if harvest is not None:
-                    values, counts = harvest
-                    fold_task(evaluator, counts)
-                else:
-                    outcome.retried_chunks += 1
-                    values = self._retry_chunk(
-                        evaluator, d_plain, thetas_plain,
-                        matrix[start:end],
-                        ReproError("shared worker pool died"))
-            for offset, per_theta in enumerate(values):
-                outcome.values[start + offset] = per_theta
-        outcome.simulations = inner.simulation_count - before[0]
-        outcome.requests = inner.request_count - before[1]
-        outcome.cache_hits = inner.cache_hits - before[2]
-        outcome.cache_misses = inner.cache_misses - before[3]
-        return outcome
-
-    def _run_pool(self, evaluator: Evaluator, d: Mapping[str, float],
-                  thetas: Sequence[Mapping[str, float]],
-                  matrix: np.ndarray) -> BatchOutcome:
-        n = matrix.shape[0]
-        bounds = self._chunk_bounds(n)
-        jobs = min(self.config.jobs, len(bounds))
-        d_plain = dict(d)
-        thetas_plain = [dict(theta) for theta in thetas]
-        outcome = BatchOutcome(values=[[] for _ in range(n)],
-                               backend="process-pool", jobs=jobs,
-                               chunks=len(bounds))
-        pool_counts = [0, 0, 0, 0]  # sims, requests, hits, misses
-
-        def fold(counts: Tuple[int, int, int, int]) -> None:
-            for i, delta in enumerate(counts):
-                pool_counts[i] += delta
-
-        pool = futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(evaluator.template, evaluator.cache_enabled,
-                      d_plain, thetas_plain))
-        pool_dead: Optional[BaseException] = None
-        try:
-            pending = [(start, end,
-                        pool.submit(_run_chunk, start, matrix[start:end]))
-                       for start, end in bounds]
-            for start, end, future in pending:
-                values = None
-                if pool_dead is None:
-                    try:
-                        (_, values, *counts) = future.result(
-                            timeout=self.config.timeout_s)
-                        fold(tuple(counts))
-                    except futures.TimeoutError as exc:
-                        # A wedged worker: kill the pool (the hung
-                        # process must not outlive the run) and degrade
-                        # the rest of the batch to serial execution.
-                        outcome.timed_out_chunks += 1
-                        pool_dead = exc
-                        self._kill_pool(pool)
-                    except BrokenProcessPool as exc:
-                        # Dead pool: retrying chunk-by-chunk against it
-                        # would fail every time.  Degrade to serial.
-                        pool_dead = exc
-                        self._kill_pool(pool)
-                    except Exception as exc:
-                        outcome.retried_chunks += 1
-                        # The retry runs on the parent evaluator, so its
-                        # counter deltas land there directly.
-                        values = self._retry_chunk(evaluator, d_plain,
-                                                   thetas_plain,
-                                                   matrix[start:end], exc)
-                if values is None:
-                    # The pool died: harvest chunks that finished before
-                    # the collapse, run the rest serially in the parent.
-                    outcome.degraded_to_serial = True
-                    harvest = self._harvest_finished(future)
-                    if harvest is not None:
-                        (_, values, *counts) = harvest
-                        fold(tuple(counts))
-                    else:
-                        outcome.retried_chunks += 1
-                        values = self._retry_chunk(evaluator, d_plain,
-                                                   thetas_plain,
-                                                   matrix[start:end],
-                                                   pool_dead)
-                for offset, per_theta in enumerate(values):
-                    outcome.values[start + offset] = per_theta
-        finally:
-            # Wait: every future is already resolved here (or its worker
-            # terminated by _kill_pool), and a shutdown still in flight at
-            # interpreter exit races CPython's atexit wakeup of the same
-            # executor (stderr "Bad file descriptor" noise).
-            pool.shutdown(wait=True, cancel_futures=True)
-        # Fold worker-side effort into the parent's accounting (retried
-        # chunks already counted themselves on the parent evaluator).
-        evaluator.absorb_counts(
-            simulations=pool_counts[0], requests=pool_counts[1],
-            cache_hits=pool_counts[2], cache_misses=pool_counts[3])
-        outcome.simulations = pool_counts[0]
-        outcome.requests = pool_counts[1]
-        outcome.cache_hits = pool_counts[2]
-        outcome.cache_misses = pool_counts[3]
-        return outcome
+        run = pool.run_tasks(_evaluate_rows, tasks, evaluator, rerun)
+        return BatchOutcome(
+            values=[per_theta for chunk in run.results
+                    for per_theta in chunk],
+            simulations=inner.simulation_count - before[0],
+            requests=inner.request_count - before[1],
+            cache_hits=inner.cache_hits - before[2],
+            cache_misses=inner.cache_misses - before[3],
+            backend="process-pool", jobs=pool.jobs, chunks=len(tasks),
+            retried_chunks=run.rerun, timed_out_chunks=run.timed_out,
+            degraded_to_serial=run.died)

@@ -104,3 +104,15 @@ class TestAnalysisCommands:
         resumed = capsys.readouterr().out
         assert "stop reason:" in resumed
         assert "final design" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_optimize_with_faults_is_jobs_invariant(self, jobs, capsys):
+        # A fault-injecting stack cannot be replicated in pool workers,
+        # so --jobs 2 runs every phase serially in the parent and
+        # handles exactly the faults --jobs 1 does.
+        code = main(["optimize", "ota", "--iterations", "1",
+                     "--samples", "2000", "--verify-samples", "60",
+                     "--seed", "3", "--inject-faults", "0.05",
+                     "--fault-seed", "2", "--jobs", jobs])
+        assert code == 0
+        assert "108 retries with jitter" in capsys.readouterr().out
