@@ -80,23 +80,29 @@ class Evaluator:
     # -- core ------------------------------------------------------------------
     def _key(self, d: Mapping[str, float], s_hat: np.ndarray,
              theta: Mapping[str, float]) -> Tuple:
-        dk = tuple(_quantize(d[name]) for name in self._design_names)
-        sk = tuple(_quantize(float(v))
-                   for v in np.asarray(s_hat, dtype=float))
+        return self._design_key(d), self._sample_key(s_hat), \
+            self._theta_key(theta)
+
+    def _design_key(self, d: Mapping[str, float]) -> Tuple:
+        return tuple(_quantize(d[name]) for name in self._design_names)
+
+    @staticmethod
+    def _sample_key(s_hat: np.ndarray) -> Tuple:
+        return tuple(_quantize(float(v))
+                     for v in np.asarray(s_hat, dtype=float))
+
+    def _theta_key(self, theta: Mapping[str, float]) -> Tuple:
         names = self._theta_names
         if names is not None and len(names) == len(theta):
             # Template-declared parameter order: no per-call sort, and the
             # names themselves need not be part of the key.
             try:
-                tk = tuple(_quantize(theta[name]) for name in names)
+                return tuple(_quantize(theta[name]) for name in names)
             except KeyError:
-                tk = tuple(sorted((k, _quantize(v))
-                                  for k, v in theta.items()))
-        else:
-            # Theta carries extra/unknown entries: fall back to the
-            # order-independent named form.
-            tk = tuple(sorted((k, _quantize(v)) for k, v in theta.items()))
-        return dk, sk, tk
+                pass
+        # Theta carries extra/unknown entries: fall back to the
+        # order-independent named form.
+        return tuple(sorted((k, _quantize(v)) for k, v in theta.items()))
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
                  theta: Mapping[str, float]) -> Dict[str, float]:
@@ -143,7 +149,10 @@ class Evaluator:
             self.cache_misses += len(rows)
             return self.template.evaluate_batch(
                 d, rows, theta, batch_samples=batch_samples)
-        keys = [self._key(d, row, theta) for row in rows]
+        # The design and theta parts are the same for every row.
+        dk = self._design_key(d) if rows else ()
+        tk = self._theta_key(theta) if rows else ()
+        keys = [(dk, self._sample_key(row), tk) for row in rows]
         todo: List[int] = []
         seen = set()
         for i, key in enumerate(keys):

@@ -166,6 +166,8 @@ class StatisticalSpace:
             self._global_transform = np.linalg.cholesky(cov)
         else:
             self._global_transform = np.zeros((0, 0))
+        #: ``(d items, G(d))`` of the last :meth:`transform_matrix` call
+        self._last_transform: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -206,7 +208,15 @@ class StatisticalSpace:
         Globals use the Cholesky factor of their (constant) covariance;
         locals are independent, so their block is diagonal with the
         Pelgrom sigmas of design point ``d``.
+
+        The last ``G(d)`` is kept, keyed by ``d``'s items, and returned
+        read-only: the rows of a Monte-Carlo run and the evaluations of
+        a worst-case search share one ``d``.
         """
+        key = tuple(d.items())
+        last = self._last_transform
+        if last is not None and last[0] == key:
+            return last[1]
         n = self.dim
         g = np.zeros((n, n))
         ng = self.n_global
@@ -219,6 +229,8 @@ class StatisticalSpace:
         if self.n_gradient:
             svt = self.process.pelgrom.svt
             g[-2:, -2:] = np.eye(2) * svt
+        g.flags.writeable = False
+        self._last_transform = (key, g)
         return g
 
     def to_physical(self, d: Mapping[str, float],
