@@ -548,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: auto; 1 = scalar per-sample path; "
                         "results are bit-identical either way).  Sizes "
                         "only the verification Monte-Carlo: gradient "
-                        "probes and warm-anchor slopes are always batched")
+                        "probes, warm-anchor slopes and the worst-case "
+                        "search's SLSQP Jacobian are always batched")
     p.add_argument("--verify-shard", metavar="i/N",
                    help="run only shard i of an N-way split of every "
                         "verification Monte-Carlo (merge the shards' "

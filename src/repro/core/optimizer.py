@@ -107,8 +107,9 @@ class OptimizerConfig:
     #: Monte-Carlo (None = the template's default chunk, 1 = force the
     #: scalar per-sample path).  A throughput knob only: the batched
     #: engine is bit-identical to the scalar loop.  It sizes only the
-    #: verification Monte-Carlo chunks; the Eq. 8 gradient probes and the
-    #: warm-anchor slopes always run batched, with bit-identical results.
+    #: verification Monte-Carlo chunks; the Eq. 8 gradient probes, the
+    #: warm-anchor slopes and the SLSQP fallback's constraint Jacobian
+    #: always run batched, with bit-identical results.
     batch_samples: Optional[int] = None
 
 

@@ -23,17 +23,20 @@ as a final fallback.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+import logging
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 from scipy import optimize
 
-from ..errors import WorstCaseError
 from ..evaluation.evaluator import Evaluator
 from ..evaluation.gradient import performance_gradient_s
+from ..spec.operating import spec_key
 from ..spec.specification import Spec
+from ..yieldsim.executor import evaluate_probes
+
+_LOG = logging.getLogger(__name__)
 
 #: Search sphere radius: points beyond this many sigmas are statistically
 #: irrelevant (Phi(8) ~ 1 - 6e-16), so specs whose boundary lies outside
@@ -51,6 +54,10 @@ BOUNDARY_RTOL = 1e-3
 
 #: Convergence tolerance on the point movement.
 POINT_ATOL = 1e-3
+
+#: Finite-difference step of the SLSQP fallback's constraint Jacobian:
+#: SLSQP's default ``eps``.
+SLSQP_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
@@ -143,7 +150,14 @@ def _slsqp_fallback(evaluator: Evaluator, spec: Spec,
                     d: Mapping[str, float], theta: Mapping[str, float],
                     s_start: np.ndarray, g_nominal: float
                     ) -> Optional[WorstCaseResult]:
-    """scipy SLSQP on Eq. 8 directly (each constraint probe = 1 simulation)."""
+    """scipy SLSQP on Eq. 8 directly (each constraint probe = 1 simulation).
+
+    The constraint Jacobian is SLSQP's default one written out — forward
+    differences with the absolute step :data:`SLSQP_EPS`, stepping
+    backwards where a probe would leave the box — so that its dim(s)
+    probes run as one batch (:func:`~repro.yieldsim.executor.
+    evaluate_probes`) instead of one scalar simulation at a time.  Its
+    values, evaluations and cache order equal scipy's own Jacobian."""
     g_bound = spec.normalized_bound
     dim = len(s_start)
 
@@ -157,16 +171,47 @@ def _slsqp_fallback(evaluator: Evaluator, spec: Spec,
         return spec.normalize(
             evaluator.performance(spec.performance, d, s, theta)) - g_bound
 
+    def boundary_jac(s):
+        # scipy's zero-step and no-room branches cannot fire in the box.
+        s = np.clip(s, -BETA_MAX, BETA_MAX)
+        f0 = boundary(s)  # a cache hit, re-read as scipy does
+        stepped = s + np.where(s + SLSQP_EPS > BETA_MAX, -SLSQP_EPS,
+                               SLSQP_EPS)
+        rows = np.tile(s, (dim, 1))
+        np.fill_diagonal(rows, stepped)
+        values = evaluate_probes(None, evaluator,
+                                 [(d, row, theta) for row in rows])
+        margins = np.array([spec.normalize(value[spec.performance])
+                            for value in values]) - g_bound
+        return (margins - f0) / (stepped - s)
+
     start = np.asarray(s_start, dtype=float)
     if float(np.linalg.norm(start)) < 1e-9:
         start = np.full(dim, 0.3)
+    simulations = evaluator.simulation_count
+    _LOG.debug("SLSQP fallback for %s at theta=%s", spec_key(spec),
+               dict(theta))
     result = optimize.minimize(
         objective, start, jac=objective_grad, method="SLSQP",
         bounds=[(-BETA_MAX, BETA_MAX)] * dim,
-        constraints=[{"type": "eq", "fun": boundary}],
+        constraints=[{"type": "eq", "fun": boundary, "jac": boundary_jac}],
         options={"maxiter": 25, "ftol": 1e-8})
-    if not result.success:
-        return None
+    found = _slsqp_point(evaluator, spec, d, theta, result, g_nominal) \
+        if result.success else None
+    _LOG.debug("SLSQP fallback for %s ended: %s (nit=%d, nfev=%d, "
+               "njev=%d, %d simulations); %s", spec_key(spec),
+               result.message, result.nit, result.nfev, result.njev,
+               evaluator.simulation_count - simulations,
+               "returned a point" if found is not None else "no point")
+    return found
+
+
+def _slsqp_point(evaluator: Evaluator, spec: Spec, d: Mapping[str, float],
+                 theta: Mapping[str, float], result, g_nominal: float
+                 ) -> Optional[WorstCaseResult]:
+    """The worst-case result at a converged SLSQP point, or None when
+    the point leaves the search sphere or misses the boundary."""
+    g_bound = spec.normalized_bound
     s_wc = np.asarray(result.x, dtype=float)
     if float(np.linalg.norm(s_wc)) > BETA_MAX:
         return None
@@ -314,7 +359,6 @@ def find_all_worst_case_points(
     identical to the serial loop: each search is a pure function of its
     inputs, and worker effort is folded back in spec order.
     """
-    from ..spec.operating import spec_key
     specs = list(evaluator.template.specs)
     tasks = []
     for spec in specs:

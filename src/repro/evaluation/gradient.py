@@ -11,13 +11,12 @@ Normalized statistical coordinates are all O(1) (unit variance), so one
 absolute step works for ``s``.  Design parameters span decades of physical
 magnitude, so their step is relative.
 
-The probes of one gradient are mutually independent.  They run on an
-optional ``pool`` (:class:`~repro.yieldsim.executor.PoolHandle`) via
-:func:`~repro.yieldsim.executor.dispatch_points`; without one, the ``s``
-probes (dim(s) rows at one ``(d, theta)``) go through the sample-batched
-engine in one :func:`~repro.yieldsim.executor.batched_columns` call.
-Every path evaluates bit-identical values, so gradients are
-bit-identical whichever one ran.
+The probes of one gradient are mutually independent, and
+:func:`~repro.yieldsim.executor.evaluate_probes` runs them: on an
+optional ``pool`` (:class:`~repro.yieldsim.executor.PoolHandle`), else
+the ``s`` probes (dim(s) rows at one ``(d, theta)``) through the
+sample-batched engine in one call.  Every path evaluates bit-identical
+values, so gradients are bit-identical whichever one ran.
 """
 
 from __future__ import annotations
@@ -61,23 +60,13 @@ def _design_probes(evaluator: Evaluator, d: Mapping[str, float],
 
 
 def _differences(evaluator: Evaluator, base: Mapping[str, float],
-                 steps: List[float], points: List[Tuple], pool,
-                 shared_d_theta: bool) -> Dict[str, List[float]]:
+                 steps: List[float], points: List[Tuple],
+                 pool) -> Dict[str, List[float]]:
     """Forward differences of every performance in ``base`` over the
-    ``(d, s_hat, theta)`` probe ``points`` (one per step).  The probes
-    run on the pool when one is usable, else through the sample-batched
-    engine when every point shares ``(d, theta)``, else one at a time."""
-    from ..yieldsim.executor import batched_columns, dispatch_points
-    values = dispatch_points(pool, evaluator, points)
-    if values is None and shared_d_theta and len(points) > 1:
-        d, _, theta = points[0]
-        columns = batched_columns(evaluator, d, [theta],
-                                  [s_hat for _, s_hat, _ in points])
-        if columns is not None:
-            values = [column[0] for column in columns]
-    if values is None:
-        values = [evaluator.evaluate(d, s_hat, theta)
-                  for d, s_hat, theta in points]
+    ``(d, s_hat, theta)`` probe ``points`` (one per step), evaluated by
+    :func:`~repro.yieldsim.executor.evaluate_probes`."""
+    from ..yieldsim.executor import evaluate_probes
+    values = evaluate_probes(pool, evaluator, points)
     return {name: [(probe[name] - base[name]) / step
                    for probe, step in zip(values, steps)]
             for name in base}
@@ -92,8 +81,7 @@ def _gradients_s(evaluator: Evaluator, base: Mapping[str, float],
         probe = s_hat.copy()
         probe[k] += step
         points.append((d, probe, theta))
-    columns = _differences(evaluator, base, [step] * len(points), points,
-                           pool, shared_d_theta=True)
+    columns = _differences(evaluator, base, [step] * len(points), points, pool)
     return {name: np.array(column, dtype=float)
             for name, column in columns.items()}
 
@@ -106,7 +94,7 @@ def _gradients_d(evaluator: Evaluator, base: Mapping[str, float],
     columns = _differences(evaluator, base,
                            [step for _, step, _ in probes],
                            [(probe, s_hat, theta) for _, _, probe in probes],
-                           pool, shared_d_theta=False)
+                           pool)
     return {name: dict(zip([pname for pname, _, _ in probes], column))
             for name, column in columns.items()}
 

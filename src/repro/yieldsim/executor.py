@@ -523,6 +523,33 @@ def batched_columns(evaluator, d: Mapping[str, float],
             for j in range(len(rows))]
 
 
+def evaluate_probes(pool: Optional[PoolHandle], evaluator,
+                    points: Sequence[Tuple[Mapping[str, float], np.ndarray,
+                                           Mapping[str, float]]]
+                    ) -> List[Dict[str, float]]:
+    """Values at the finite-difference probe ``points``, in input order:
+    the one probe dispatch behind the Eq.-8/Eq.-16 gradients and the
+    SLSQP constraint Jacobian of the worst-case search.
+
+    The probes run on ``pool`` when it is usable
+    (:func:`dispatch_points`), else through the sample-batched engine in
+    one :func:`batched_columns` call when every point shares
+    ``(d, theta)``, else one at a time.  Every path gives bit-identical
+    values, cache entries and counters."""
+    values = dispatch_points(pool, evaluator, points)
+    if values is None and len(points) > 1:
+        d, _, theta = points[0]
+        if all(p_d == d and p_theta == theta for p_d, _, p_theta in points):
+            columns = batched_columns(evaluator, d, [theta],
+                                      [s_hat for _, s_hat, _ in points])
+            if columns is not None:
+                values = [column[0] for column in columns]
+    if values is None:
+        values = [evaluator.evaluate(d, s_hat, theta)
+                  for d, s_hat, theta in points]
+    return values
+
+
 # -- driver ------------------------------------------------------------------
 class BatchExecutor:
     """Drives an :class:`Evaluator` over a sample matrix in chunks.
