@@ -41,6 +41,7 @@ import repro.circuit.ac as ac_mod
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.ac import AcSystem
 from repro.circuits import FoldedCascodeOpamp
+from repro.circuits.base import DEFAULT_BATCH_SAMPLES
 from repro.core import OptimizerConfig, YieldOptimizer
 from repro.evaluation import Evaluator
 
@@ -293,6 +294,14 @@ def test_bench_table1_optimize_engine_vs_legacy(report):
         assert legacy_s / engine_s >= 2.0
 
 
+def _evaluate_rows(evaluator, d, rows, theta, scalar):
+    """The rows through the per-sample ``evaluate`` loop (``scalar``) or
+    through ``evaluate_batch`` at the engine's own chunk size."""
+    if scalar:
+        return [evaluator.evaluate(d, row, theta) for row in rows]
+    return evaluator.evaluate_batch(d, rows, theta)
+
+
 def test_bench_batched_mc(report):
     """Sample-batched vs scalar Monte-Carlo on the large template: the
     verification-MC workload the batched engine was built for.  Parity
@@ -302,9 +311,8 @@ def test_bench_batched_mc(report):
     from repro.circuits import TwoStageArrayOpamp
 
     n = 8 if TINY else 64
-    chunk = 8 if TINY else 64
 
-    def one_pass(batch_samples):
+    def one_pass(scalar):
         template = TwoStageArrayOpamp()
         evaluator = Evaluator(template, cache=False)
         d = template.initial_design()
@@ -314,15 +322,14 @@ def test_bench_batched_mc(report):
         rows = [rng.standard_normal(dim) for _ in range(n)]
         evaluator.evaluate(d, rows[0], theta)  # pay the anchor cost
         t0 = time.perf_counter()
-        values = evaluator.evaluate_batch(d, rows, theta,
-                                          batch_samples=batch_samples)
+        values = _evaluate_rows(evaluator, d, rows, theta, scalar)
         elapsed = time.perf_counter() - t0
         counters = (evaluator.simulation_count, evaluator.request_count,
                     evaluator.cache_hits)
         return values, counters, template.warm_cache_stats(), elapsed
 
-    serial_vals, serial_ctr, serial_warm, serial_s = one_pass(1)
-    batched_vals, batched_ctr, batched_warm, batched_s = one_pass(chunk)
+    serial_vals, serial_ctr, serial_warm, serial_s = one_pass(True)
+    batched_vals, batched_ctr, batched_warm, batched_s = one_pass(False)
     assert batched_ctr == serial_ctr
     assert batched_warm == serial_warm
     for vs, vb in zip(serial_vals, batched_vals):
@@ -332,7 +339,7 @@ def test_bench_batched_mc(report):
             assert vb[key] == vs[key], key  # the bitwise contract
     report["batched_mc"] = {
         "n_samples": n,
-        "batch_samples": chunk,
+        "batch_samples": DEFAULT_BATCH_SAMPLES,
         "serial_ms_per_sample": serial_s / n * 1e3,
         "batched_ms_per_sample": batched_s / n * 1e3,
         "speedup": serial_s / batched_s,
@@ -365,7 +372,6 @@ def test_bench_cold_mc(report, monkeypatch):
     from repro.circuits import TwoStageArrayOpamp
 
     n = 8 if TINY else 64
-    chunk = 8 if TINY else 64
 
     dc_clock = [0.0]
 
@@ -391,7 +397,7 @@ def test_bench_cold_mc(report, monkeypatch):
     monkeypatch.setattr(batch_mod.SampleBatchPlan, "solve",
                         timed_plan_solve)
 
-    def one_pass(batch_samples):
+    def one_pass(scalar):
         template = TwoStageArrayOpamp()
         template.warm_dc = False
         evaluator = Evaluator(template, cache=False)
@@ -403,30 +409,29 @@ def test_bench_cold_mc(report, monkeypatch):
         evaluator.evaluate(d, rows[0], theta)  # warm the layout caches
         dc_clock[0] = 0.0
         t0 = time.perf_counter()
-        values = evaluator.evaluate_batch(d, rows, theta,
-                                          batch_samples=batch_samples)
+        values = _evaluate_rows(evaluator, d, rows, theta, scalar)
         elapsed = time.perf_counter() - t0
         counters = (evaluator.simulation_count, evaluator.request_count,
                     evaluator.cache_hits)
         return (values, counters, template.dc_effort_stats(), elapsed,
                 dc_clock[0])
 
-    def best_pass(batch_samples):
+    def best_pass(scalar):
         # Best-of-N wall clocks: the evaluation itself is deterministic
         # (identical values and counters every pass — asserted), so the
         # minimum is the least-noise measurement of the same work.
-        values, counters, effort, elapsed, dc_s = one_pass(batch_samples)
+        values, counters, effort, elapsed, dc_s = one_pass(scalar)
         for _ in range(0 if TINY else 1):
-            _, ctr2, eff2, t2, d2 = one_pass(batch_samples)
+            _, ctr2, eff2, t2, d2 = one_pass(scalar)
             assert ctr2 == counters and eff2 == effort
             elapsed = min(elapsed, t2)
             dc_s = min(dc_s, d2)
         return values, counters, effort, elapsed, dc_s
 
     serial_vals, serial_ctr, serial_dc, serial_s, serial_dc_s = \
-        best_pass(1)
+        best_pass(True)
     batched_vals, batched_ctr, batched_dc, batched_s, batched_dc_s = \
-        best_pass(chunk)
+        best_pass(False)
     assert batched_ctr == serial_ctr
     assert batched_dc == serial_dc
     for vs, vb in zip(serial_vals, batched_vals):
@@ -435,7 +440,7 @@ def test_bench_cold_mc(report, monkeypatch):
             assert vb[key] == vs[key], key  # the bitwise contract
     report["cold_mc"] = {
         "n_samples": n,
-        "batch_samples": chunk,
+        "batch_samples": DEFAULT_BATCH_SAMPLES,
         "dc_serial_ms_per_sample": serial_dc_s / n * 1e3,
         "dc_batched_ms_per_sample": batched_dc_s / n * 1e3,
         "speedup": serial_dc_s / batched_dc_s,

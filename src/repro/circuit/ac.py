@@ -235,20 +235,18 @@ SECTION_POINTS = 4
 
 def unity_gain_frequency(system: AcSystem, node: str,
                          f_lo: float = 1.0, f_hi: float = 1e12,
-                         tol: float = 1e-8,
-                         section_points: Optional[int] = None) -> float:
+                         tol: float = 1e-8) -> float:
     """Locate the unity-gain crossing |H(f)| = 1 on log f.
 
-    Multi-section refinement: each round evaluates ``section_points``
-    interior frequencies with one batched solve and re-brackets around the
-    first crossing from above.  With ``section_points = 1`` this reduces
-    exactly to classic bisection (same bracket updates, same result).
+    Multi-section refinement: each round evaluates
+    :data:`SECTION_POINTS` interior frequencies with one batched solve
+    and re-brackets around the first crossing from above.  With
+    ``SECTION_POINTS = 1`` this reduces exactly to classic bisection
+    (same bracket updates, same result).
 
     Requires |H(f_lo)| > 1 > |H(f_hi)|; raises :class:`ExtractionError`
     otherwise (e.g. a dead circuit whose gain never exceeds one).
     """
-    if section_points is None:
-        section_points = SECTION_POINTS
     g_lo = abs(system.transfer(node, f_lo))
     if g_lo <= 1.0:
         raise ExtractionError(
@@ -259,7 +257,7 @@ def unity_gain_frequency(system: AcSystem, node: str,
             f"gain at {f_hi:g} Hz is {g_hi:.3g} >= 1; sweep range too small")
     lo, hi = math.log10(f_lo), math.log10(f_hi)
     while hi - lo > tol:
-        grid = np.linspace(lo, hi, section_points + 2)[1:-1]
+        grid = np.linspace(lo, hi, SECTION_POINTS + 2)[1:-1]
         mags = np.abs(system.transfer_many(node, 10.0 ** grid))
         below = np.nonzero(mags <= 1.0)[0]
         if below.size == 0:

@@ -57,12 +57,12 @@ DEAD_CIRCUIT_PERFORMANCES = {
     "sr": 0.0, "power": 1e3, "noise": 1e6,
 }
 
-#: Chunk size of the sample-batched simulation path when the caller asks
-#: for "auto" (``batch_samples=None``).  Large enough to amortize the
-#: vectorized model evaluation and the per-chunk plan bookkeeping (the
-#: two-stage array crosses 3x over the serial path at this size), small
-#: enough that the per-chunk value arrays stay cache-resident even for
-#: the array template.
+#: Rows per chunk of the sample-batched simulation path.  Large enough
+#: to amortize the vectorized model evaluation and the per-chunk plan
+#: bookkeeping (the two-stage array crosses 3x over the serial path at
+#: this size), small enough that the per-chunk value arrays stay
+#: cache-resident even for the array template.  Neither 16 nor 64 rows
+#: beat it by 5% on the benchmark's verification Monte-Carlo.
 DEFAULT_BATCH_SAMPLES = 32
 
 
@@ -386,11 +386,10 @@ class OpampTemplate(CircuitTemplate):
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
-                       theta: Mapping[str, float],
-                       batch_samples: Optional[int] = None) -> list:
+                       theta: Mapping[str, float]) -> list:
         """Sample-batched evaluation: one vectorized lockstep homotopy
-        chain per chunk of statistical rows, bitwise identical to the
-        serial loop.
+        chain per chunk of :data:`DEFAULT_BATCH_SAMPLES` statistical
+        rows, bitwise identical to the serial loop.
 
         Warm-started and cold-started samples both run batched: a sample
         that fails the warm Newton stage re-enters the lockstep cold
@@ -403,30 +402,23 @@ class OpampTemplate(CircuitTemplate):
         arrays.  Any row the plan cannot carry — no warm anchor,
         non-finite warm start, singular matrix, exhausted chain — is
         re-run through the exact serial body, so results *and* fault
-        classification match the serial loop sample for sample.
-        ``batch_samples``:
-
-        * ``None`` — auto (:data:`DEFAULT_BATCH_SAMPLES` rows per chunk),
-        * ``0`` or ``1`` — force the serial loop,
-        * ``n >= 2`` — chunk size of the vectorized path.
+        classification match the serial loop sample for sample.  A
+        single row runs the serial loop.
         """
-        chunk_size = DEFAULT_BATCH_SAMPLES if batch_samples is None \
-            else batch_samples
-        if chunk_size <= 1 or len(rows) <= 1:
-            return super().evaluate_batch(d, rows, theta,
-                                          batch_samples=batch_samples)
+        if len(rows) <= 1:
+            return super().evaluate_batch(d, rows, theta)
         try:
             plan = self._batch_plan(d, theta)
         except (BatchUnsupported, ReproError) as exc:
             self._log_plan_rejected(exc)
-            return super().evaluate_batch(d, rows, theta,
-                                          batch_samples=batch_samples)
+            return super().evaluate_batch(d, rows, theta)
         space = self.statistical_space
         size = plan.layout.size
         warm_key = self._warm_key(d, theta) if self.warm_dc else None
         entries: list = [None] * len(rows)
-        for start in range(0, len(rows), chunk_size):
-            chunk = range(start, min(start + chunk_size, len(rows)))
+        for start in range(0, len(rows), DEFAULT_BATCH_SAMPLES):
+            chunk = range(start, min(start + DEFAULT_BATCH_SAMPLES,
+                                     len(rows)))
             # Row-order pre-pass, replicating _bench's per-row effort:
             # to_physical, then exactly one warm-anchor lookup per row.
             pv_of: dict = {}

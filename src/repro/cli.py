@@ -89,9 +89,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         use_constraints=not args.no_constraints,
         linearize_at="nominal" if args.nominal_linearization
         else "worst_case",
-        linsolve=args.linsolve,
-        jobs=args.jobs,
-        batch_samples=args.batch_samples)
+        jobs=args.jobs)
     evaluator = None
     if args.inject_faults > 0.0:
         from .evaluation import Evaluator
@@ -151,10 +149,7 @@ def cmd_yield(args: argparse.Namespace) -> int:
     request = YieldRequest(
         circuit=args.circuit, estimator=args.estimator,
         n_samples=args.samples, seed=args.seed, jobs=args.jobs,
-        linsolve=args.linsolve, chunk_timeout=args.chunk_timeout,
-        batch_samples=args.batch_samples,
-        shard=args.shard or None,
-        cold_dc=args.cold_dc)
+        chunk_timeout=args.chunk_timeout, shard=args.shard or None)
     result = execute_yield(request)
     if args.out:
         # Self-describing artifact: schema version + provenance block,
@@ -328,8 +323,6 @@ def cmd_corners(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     template = _make_template(args.circuit)
-    if args.linsolve is not None:
-        template.linsolve = args.linsolve
     d = template.initial_design()
     values = template.evaluate(d, template.statistical_space.nominal(),
                                template.operating_range.nominal())
@@ -354,7 +347,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     with open(args.netlist) as handle:
         circuit = parse_netlist(handle.read())
-    op = solve_dc(circuit, temp_c=args.temp, backend=args.linsolve)
+    op = solve_dc(circuit, temp_c=args.temp)
     print(f"DC operating point ({op.iterations} Newton iterations, "
           f"{op.strategy}):")
     for node, voltage in sorted(op.voltages().items()):
@@ -364,8 +357,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"  {name}: Id = {format_si(record['ids'], 'A')}, "
                   f"{record['region']}")
     if args.node and args.ac:
-        h = transfer_at(circuit, op, args.node, args.ac,
-                        backend=args.linsolve)
+        h = transfer_at(circuit, op, args.node, args.ac)
         print(f"\nAC transfer to {args.node} at "
               f"{format_si(args.ac, 'Hz')}: |H| = {abs(h):.4g} "
               f"({db(abs(h)):.1f} dB)")
@@ -416,7 +408,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "samples_verify": args.verify_samples,
             "seed": args.seed,
             "estimator": args.estimator,
-            "linsolve": args.linsolve,
         }
     else:
         request = {
@@ -424,7 +415,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "estimator": args.estimator,
             "n_samples": args.samples,
             "seed": args.seed,
-            "linsolve": args.linsolve,
         }
     payload = {
         "kind": args.kind,
@@ -512,14 +502,6 @@ def cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_linsolve(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--linsolve", choices=("dense", "sparse", "auto"),
-                   default=None,
-                   help="MNA linear-solver backend: dense LU, sparse "
-                        "LU with factorization reuse, or auto-select "
-                        "by circuit size (default: auto)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -542,14 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes of the run's process pool "
                         "(1 = serial)")
-    p.add_argument("--batch-samples", type=int, default=None,
-                   metavar="K",
-                   help="samples per vectorized verification-MC chunk "
-                        "(default: auto; 1 = scalar per-sample path; "
-                        "results are bit-identical either way).  Sizes "
-                        "only the verification Monte-Carlo: gradient "
-                        "probes, warm-anchor slopes and the worst-case "
-                        "search's SLSQP Jacobian are always batched")
     p.add_argument("--verify-shard", metavar="i/N",
                    help="run only shard i of an N-way split of every "
                         "verification Monte-Carlo (merge the shards' "
@@ -574,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the optimization trace as a "
                         "provenance-carrying artifact JSON (the serve "
                         "layer's optimize-result format)")
-    _add_linsolve(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser(
@@ -593,17 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-timeout", type=float, default=None,
                    help="per-chunk wait [s]; a timeout kills the pool "
                         "and re-runs the chunks in the parent")
-    p.add_argument("--batch-samples", type=int, default=None,
-                   metavar="K",
-                   help="samples per vectorized simulation chunk "
-                        "(default: auto; 1 = scalar per-sample path; "
-                        "results are bit-identical either way)")
     p.add_argument("--seed", type=int, default=2001)
-    p.add_argument("--cold-dc", action="store_true",
-                   help="disable warm-start DC anchors: every sample "
-                        "solves through the cold homotopy chain (newton "
-                        "-> gmin -> source stepping); batched and scalar "
-                        "paths stay bit-identical")
     p.add_argument("--shard", metavar="i/N",
                    help="run only shard i of an N-way split of the "
                         "logical sample budget (1-based); results merge "
@@ -613,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "merge-verify input format)")
     p.add_argument("--json", action="store_true",
                    help="emit the full result + run report as JSON")
-    _add_linsolve(p)
     p.set_defaults(func=cmd_yield)
 
     p = sub.add_parser(
@@ -647,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="nominal performances")
     p.add_argument("circuit", choices=sorted(CIRCUITS))
-    _add_linsolve(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="solve a SPICE-style netlist")
@@ -656,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", help="node for an AC transfer readout")
     p.add_argument("--ac", type=float,
                    help="frequency [Hz] for the AC readout")
-    _add_linsolve(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -742,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "result artifact")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="--wait polling timeout [s] (default: 600)")
-    _add_linsolve(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(

@@ -50,8 +50,8 @@ from ..runtime import (FaultPolicy, FaultTolerantEvaluator,
                        load_checkpoint, save_checkpoint)
 from ..spec.operating import find_worst_case_operating_points, spec_key
 from ..statistics.sampling import SampleSet
-from ..yieldsim import (ExecutionConfig, OperationalMC, ShardPlan,
-                        SimulatorHealth, YieldEstimator, YieldResult)
+from ..yieldsim import (OperationalMC, ShardPlan, SimulatorHealth,
+                        YieldEstimator, YieldResult)
 from .constraints import UnconstrainedRegion, linearize_constraints
 from .coordinate_search import coordinate_search
 from .estimator import LinearizedYieldEstimator
@@ -97,20 +97,6 @@ class OptimizerConfig:
     #: shards' via :func:`repro.yieldsim.merge_results`.  ``None`` (and
     #: the 1-shard plan) reproduce the unsharded run bit for bit.
     verify_shard: Optional[ShardPlan] = None
-    #: linear-solver backend override for every circuit solve of the run
-    #: ("dense"/"sparse"/"auto"; see :mod:`repro.circuit.linsolve`).
-    #: ``None`` keeps the template's own setting (default "auto": by
-    #: node count, which leaves all small templates on the bit-identical
-    #: dense path).
-    linsolve: Optional[str] = None
-    #: samples per vectorized simulation chunk of the verification
-    #: Monte-Carlo (None = the template's default chunk, 1 = force the
-    #: scalar per-sample path).  A throughput knob only: the batched
-    #: engine is bit-identical to the scalar loop.  It sizes only the
-    #: verification Monte-Carlo chunks; the Eq. 8 gradient probes, the
-    #: warm-anchor slopes and the SLSQP fallback's constraint Jacobian
-    #: always run batched, with bit-identical results.
-    batch_samples: Optional[int] = None
 
 
 @dataclass
@@ -222,18 +208,10 @@ class YieldOptimizer:
         self.template = template
         self.config = config or OptimizerConfig()
         self.evaluator = evaluator or Evaluator(template)
-        if self.config.linsolve is not None:
-            # Push the override onto the template so every solve of the
-            # run — evaluations, warm anchors, constraint benches — uses
-            # the requested backend (pool workers inherit it via pickle).
-            template.linsolve = self.config.linsolve
-            self.evaluator.linsolve = self.config.linsolve
         #: pluggable Y_tilde verifier; the paper's Eq. 6-7 Monte-Carlo by
         #: default, or e.g. :class:`repro.yieldsim.MeanShiftIS`, which
         #: reuses the iteration's Eq. 8 worst-case points as mean shifts
-        self.verifier = verifier or OperationalMC(
-            execution=ExecutionConfig(
-                batch_samples=self.config.batch_samples))
+        self.verifier = verifier or OperationalMC()
         #: fault policy every evaluator call is routed through
         self.policy = policy or FaultPolicy()
         #: wall-clock/simulation budget of this run

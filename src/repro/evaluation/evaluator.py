@@ -45,17 +45,9 @@ def _quantize(value: float):
 class Evaluator:
     """Counting/caching façade over a circuit template."""
 
-    def __init__(self, template: CircuitTemplate, cache: bool = True,
-                 linsolve=None):
+    def __init__(self, template: CircuitTemplate, cache: bool = True):
         self.template = template
         self.cache_enabled = cache
-        #: linear-solver backend override ("dense"/"sparse"/"auto").
-        #: ``None`` leaves the template's own setting untouched; anything
-        #: else is pushed onto the template so every solve it runs —
-        #: including warm-anchor solves — uses the requested backend.
-        self.linsolve = linsolve
-        if linsolve is not None:
-            template.linsolve = linsolve
         self._cache: Dict[Tuple, Dict[str, float]] = {}
         # Key-building hot path: freeze the design-name order and the
         # operating-parameter order once instead of re-deriving (and, for
@@ -125,8 +117,7 @@ class Evaluator:
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: List[np.ndarray],
-                       theta: Mapping[str, float],
-                       batch_samples: Optional[int] = None) -> List:
+                       theta: Mapping[str, float]) -> List:
         """Evaluate many statistical points at one ``(d, theta)``.
 
         Returns one entry per row, in row order: the performance dict,
@@ -147,8 +138,7 @@ class Evaluator:
             self.request_count += len(rows)
             self.simulation_count += len(rows)
             self.cache_misses += len(rows)
-            return self.template.evaluate_batch(
-                d, rows, theta, batch_samples=batch_samples)
+            return self.template.evaluate_batch(d, rows, theta)
         # The design and theta parts are the same for every row.
         dk = self._design_key(d) if rows else ()
         tk = self._theta_key(theta) if rows else ()
@@ -162,8 +152,7 @@ class Evaluator:
         produced: Dict[Tuple, object] = {}
         if todo:
             entries = self.template.evaluate_batch(
-                d, [rows[i] for i in todo], theta,
-                batch_samples=batch_samples)
+                d, [rows[i] for i in todo], theta)
             produced = {keys[i]: entry
                         for i, entry in zip(todo, entries)}
         results: List = []

@@ -135,8 +135,7 @@ class CircuitTemplate(abc.ABC):
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
-                       theta: Mapping[str, float],
-                       batch_samples: Optional[int] = None) -> list:
+                       theta: Mapping[str, float]) -> list:
         """Evaluate many statistical points at one ``(d, theta)``.
 
         Returns one entry per row, **in row order**: the performance
@@ -147,9 +146,6 @@ class CircuitTemplate(abc.ABC):
         simulation path (see
         :meth:`repro.circuits.base.OpampTemplate.evaluate_batch`)
         override it and must preserve these exact semantics.
-
-        ``batch_samples`` caps the vectorized chunk size for overriding
-        implementations; the serial default ignores it.
         """
         entries: list = []
         for row in rows:

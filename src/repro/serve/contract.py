@@ -60,7 +60,6 @@ def make_provenance(template: str, seed: Optional[int], estimator: str,
                     n_samples: int, command: str,
                     shard: Optional[str] = None,
                     shards: Optional[int] = None,
-                    linsolve: Optional[str] = None,
                     extra: Optional[Mapping] = None) -> Dict:
     """Build a provenance block for a yield artifact.
 
@@ -83,8 +82,6 @@ def make_provenance(template: str, seed: Optional[int], estimator: str,
         provenance["shard"] = shard
     if shards is not None:
         provenance["shards"] = int(shards)
-    if linsolve is not None:
-        provenance["linsolve"] = linsolve
     if extra:
         for key, value in extra.items():
             provenance.setdefault(key, value)
@@ -204,8 +201,7 @@ def merged_provenance(provenances: Sequence[Optional[Mapping]],
         estimator=base.get("estimator") if base else "unknown",
         n_samples=n_samples,
         command="merge-verify",
-        shards=shards,
-        linsolve=base.get("linsolve") if base else None)
+        shards=shards)
 
 
 __all__: List[str] = [

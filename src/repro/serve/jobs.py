@@ -60,19 +60,9 @@ class YieldRequest:
     n_samples: int = 300
     seed: int = 2001
     jobs: int = 1
-    linsolve: Optional[str] = None
     chunk_timeout: Optional[float] = None
-    #: samples per vectorized simulation chunk (None = template default,
-    #: 1 = scalar path); execution-only — bit-identical results either
-    #: way, so it stays out of the cache key
-    batch_samples: Optional[int] = None
     #: 1-based ``i/N`` shard label (None = the full stream)
     shard: Optional[str] = None
-    #: disable warm-start DC anchors: every sample solves through the
-    #: cold homotopy chain (newton -> gmin -> source stepping).  Changes
-    #: the bit pattern of the results (different Newton trajectories),
-    #: so it is part of the cache key.
-    cold_dc: bool = False
     #: optional fault-policy override: ``{"lenient": bool,
     #: "retry_attempts": int, "jitter": float, "backoff": float}``.
     #: None runs the bare evaluator, exactly like the local CLI.
@@ -91,9 +81,8 @@ class YieldRequest:
         if self.n_samples < 1:
             raise ServeError(
                 f"n_samples must be >= 1, got {self.n_samples}")
-        if self.batch_samples is not None and self.batch_samples < 1:
-            raise ServeError(
-                f"batch_samples must be >= 1, got {self.batch_samples}")
+        if self.jobs < 1:
+            raise ServeError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_dict(self) -> Dict:
         return {
@@ -102,29 +91,22 @@ class YieldRequest:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "jobs": self.jobs,
-            "linsolve": self.linsolve,
             "chunk_timeout": self.chunk_timeout,
-            "batch_samples": self.batch_samples,
             "shard": self.shard,
-            "cold_dc": self.cold_dc,
             "policy": None if self.policy is None else dict(self.policy),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "YieldRequest":
         try:
-            batch = data.get("batch_samples")
             return cls(
                 circuit=data["circuit"],
                 estimator=data.get("estimator", "mc"),
                 n_samples=int(data.get("n_samples", 300)),
                 seed=int(data.get("seed", 2001)),
                 jobs=int(data.get("jobs", 1)),
-                linsolve=data.get("linsolve"),
                 chunk_timeout=data.get("chunk_timeout"),
-                batch_samples=None if batch is None else int(batch),
                 shard=data.get("shard"),
-                cold_dc=bool(data.get("cold_dc", False)),
                 policy=data.get("policy"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ServeError(f"invalid yield request: {exc}")
@@ -155,12 +137,7 @@ def canonical_request(request: YieldRequest,
         "seed": request.seed,
         "estimator": request.estimator,
         "n_samples": request.n_samples,
-        "linsolve": request.linsolve or "auto",
     }
-    if request.cold_dc:
-        # Cold DC changes Newton trajectories (and hence result bits);
-        # only present when set so existing cache keys stay stable.
-        canonical["cold_dc"] = True
     if request.policy is not None:
         # A fault policy changes results whenever a sample faults (the
         # faults themselves are deterministic in the point), so it is
@@ -194,9 +171,7 @@ def execute_yield(request: YieldRequest):
     from ..yieldsim import ShardPlan, make_estimator
 
     template = CIRCUITS[request.circuit]()
-    if request.cold_dc and hasattr(template, "warm_dc"):
-        template.warm_dc = False
-    evaluator = Evaluator(template, linsolve=request.linsolve)
+    evaluator = Evaluator(template)
     target = evaluator
     guarded = None
     if request.policy is not None:
@@ -228,8 +203,7 @@ def execute_yield(request: YieldRequest):
         worst_case = find_all_worst_case_points(
             target, d, theta_wc, seed=request.seed)
     estimator = make_estimator(request.estimator, jobs=request.jobs,
-                               timeout_s=request.chunk_timeout,
-                               batch_samples=request.batch_samples)
+                               timeout_s=request.chunk_timeout)
     if guarded is not None and dict(request.policy).get("lenient", True):
         with guarded.lenient():
             return estimator.estimate(guarded, d, theta_wc,
@@ -252,8 +226,7 @@ def yield_artifact(request: YieldRequest, result,
     provenance = make_provenance(
         template=request.circuit, seed=request.seed,
         estimator=request.estimator, n_samples=request.n_samples,
-        command=command, shard=shard_label,
-        linsolve=request.linsolve)
+        command=command, shard=shard_label)
     return wrap_result(result, provenance, kind=KIND_YIELD)
 
 
@@ -318,15 +291,10 @@ class OptimizeRequest:
     #: Table 3 / Table 4 ablation switches
     use_constraints: bool = True
     linearize_at: str = "worst_case"
-    linsolve: Optional[str] = None
     #: worker processes of the run's shared pool (execution knob —
     #: results are bit-identical serial or pooled, so it is *not* part
     #: of the cache key)
     jobs: int = 1
-    #: samples per vectorized verification-MC chunk (execution knob:
-    #: batched and scalar paths are bit-identical, so it too stays out
-    #: of the cache key); None = template default, 1 = scalar
-    batch_samples: Optional[int] = None
 
     def __post_init__(self):
         if self.circuit not in CIRCUITS:
@@ -347,9 +315,8 @@ class OptimizeRequest:
             raise ServeError(
                 f"linearize_at must be 'worst_case' or 'nominal', got "
                 f"{self.linearize_at!r}")
-        if self.batch_samples is not None and self.batch_samples < 1:
-            raise ServeError(
-                f"batch_samples must be >= 1, got {self.batch_samples}")
+        if self.jobs < 1:
+            raise ServeError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_dict(self) -> Dict:
         return {
@@ -361,15 +328,12 @@ class OptimizeRequest:
             "estimator": self.estimator,
             "use_constraints": self.use_constraints,
             "linearize_at": self.linearize_at,
-            "linsolve": self.linsolve,
             "jobs": self.jobs,
-            "batch_samples": self.batch_samples,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizeRequest":
         try:
-            batch = data.get("batch_samples")
             return cls(
                 circuit=data["circuit"],
                 iterations=int(data.get("iterations", 5)),
@@ -379,9 +343,7 @@ class OptimizeRequest:
                 estimator=data.get("estimator", "mc"),
                 use_constraints=bool(data.get("use_constraints", True)),
                 linearize_at=data.get("linearize_at", "worst_case"),
-                linsolve=data.get("linsolve"),
-                jobs=int(data.get("jobs", 1)),
-                batch_samples=None if batch is None else int(batch))
+                jobs=int(data.get("jobs", 1)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ServeError(f"invalid optimize request: {exc}")
 
@@ -404,7 +366,6 @@ def canonical_optimize_request(request: OptimizeRequest) -> Dict:
         "estimator": request.estimator,
         "use_constraints": bool(request.use_constraints),
         "linearize_at": request.linearize_at,
-        "linsolve": request.linsolve or "auto",
     }
 
 
@@ -441,13 +402,10 @@ def execute_optimize(request: OptimizeRequest,
         use_constraints=request.use_constraints,
         linearize_at=request.linearize_at,
         jobs=request.jobs,
-        verify_shard=verify_shard,
-        linsolve=request.linsolve,
-        batch_samples=request.batch_samples)
+        verify_shard=verify_shard)
     # The optimizer's pool is the only pool of the run (it serves the
     # verification Monte-Carlo too).
-    verifier = make_estimator(request.estimator,
-                              batch_samples=request.batch_samples)
+    verifier = make_estimator(request.estimator)
     return YieldOptimizer(
         template, config, evaluator=evaluator, verifier=verifier,
         budget=budget, checkpoint_path=checkpoint_path,
@@ -489,7 +447,7 @@ def optimize_artifact(request: OptimizeRequest, result,
     provenance = make_provenance(
         template=request.circuit, seed=request.seed,
         estimator=request.estimator, n_samples=request.samples_verify,
-        command=command, linsolve=request.linsolve,
+        command=command,
         extra={"iterations": request.iterations,
                "samples_linear": request.samples_linear,
                "stop_reason": result.stop_reason})
@@ -567,7 +525,7 @@ def merge_artifacts(artifacts, request: YieldRequest,
     provenance = make_provenance(
         template=request.circuit, seed=request.seed,
         estimator=request.estimator, n_samples=request.n_samples,
-        command="serve", shards=shards, linsolve=request.linsolve)
+        command="serve", shards=shards)
     return wrap_result(merged, provenance, kind=KIND_MERGED)
 
 

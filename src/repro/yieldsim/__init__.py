@@ -51,14 +51,11 @@ ESTIMATORS = {
 def make_estimator(name: str, jobs: int = 1,
                    chunk_size: Optional[int] = None,
                    timeout_s: Optional[float] = None,
-                   batch_samples: Optional[int] = None,
                    **kwargs) -> YieldEstimator:
     """Build a registered estimator with an execution configuration.
 
     ``name`` is one of ``mc`` / ``is`` / ``qmc``; extra keyword arguments
-    go to the estimator constructor.  ``batch_samples`` sizes the
-    in-process vectorized simulation chunks (None = template default,
-    1 = scalar path); it changes throughput only, never results.
+    go to the estimator constructor.
     """
     try:
         cls = ESTIMATORS[name]
@@ -67,8 +64,7 @@ def make_estimator(name: str, jobs: int = 1,
             f"unknown estimator {name!r}; choose from "
             f"{', '.join(sorted(ESTIMATORS))}")
     execution = ExecutionConfig(jobs=jobs, chunk_size=chunk_size,
-                                timeout_s=timeout_s,
-                                batch_samples=batch_samples)
+                                timeout_s=timeout_s)
     return cls(execution=execution, **kwargs)
 
 

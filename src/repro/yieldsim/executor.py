@@ -67,11 +67,6 @@ class ExecutionConfig:
     #: per-task wait budget in seconds of the pool a standalone run
     #: opens (None = wait forever); an attached pool keeps its own
     timeout_s: Optional[float] = None
-    #: samples per vectorized simulation chunk (None = auto: the
-    #: template's default chunk; 1 = force the scalar per-sample path).
-    #: Only affects templates with a sample-batched engine; results are
-    #: bit-identical either way.
-    batch_samples: Optional[int] = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -79,9 +74,6 @@ class ExecutionConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ReproError(
                 f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.batch_samples is not None and self.batch_samples < 1:
-            raise ReproError(
-                f"batch_samples must be >= 1, got {self.batch_samples}")
 
 
 @dataclass
@@ -126,16 +118,15 @@ def _pool_context():
 # -- task functions (run in a worker, or serially in the parent) --------------
 def _evaluate_rows(evaluator, d: Mapping[str, float],
                    thetas: Sequence[Mapping[str, float]],
-                   rows: Sequence[np.ndarray],
-                   batch_samples: Optional[int] = None
+                   rows: Sequence[np.ndarray]
                    ) -> List[List[Dict[str, float]]]:
     """``values[j][g]`` of every row at every theta: through the
     sample-batched engine when the stack allows it, else the scalar
     per-row loop.  The serial path and every pooled Monte-Carlo chunk
     run this one function."""
     values = None
-    if len(rows) > 1 and batch_samples != 1:
-        values = batched_columns(evaluator, d, thetas, rows, batch_samples)
+    if len(rows) > 1:
+        values = batched_columns(evaluator, d, thetas, rows)
     if values is None:
         values = [[dict(evaluator.evaluate(d, row, theta))
                    for theta in thetas] for row in rows]
@@ -474,8 +465,7 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
 
 def batched_columns(evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
-                    matrix: Sequence[np.ndarray],
-                    batch_samples: Optional[int] = None
+                    matrix: Sequence[np.ndarray]
                     ) -> Optional[List[List[Dict[str, float]]]]:
     """In-process evaluation of ``matrix`` rows through the
     sample-batched engine.
@@ -507,8 +497,7 @@ def batched_columns(evaluator, d: Mapping[str, float],
     rows = [np.asarray(row, dtype=float) for row in matrix]
     columns: List[List] = []
     for theta in thetas:
-        entries = inner.evaluate_batch(d, rows, theta,
-                                       batch_samples=batch_samples)
+        entries = inner.evaluate_batch(d, rows, theta)
         column: List = []
         for row, entry in zip(rows, entries):
             if isinstance(entry, BaseException) and policy is not None:
@@ -608,8 +597,7 @@ class BatchExecutor:
                     matrix: np.ndarray) -> BatchOutcome:
         before = (evaluator.simulation_count, evaluator.request_count,
                   evaluator.cache_hits, evaluator.cache_misses)
-        values = _evaluate_rows(evaluator, d, thetas, matrix,
-                                self.config.batch_samples)
+        values = _evaluate_rows(evaluator, d, thetas, matrix)
         return BatchOutcome(
             values=values,
             simulations=evaluator.simulation_count - before[0],
@@ -628,8 +616,7 @@ class BatchExecutor:
             or max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
         d_plain = dict(d)
         thetas_plain = [dict(theta) for theta in thetas]
-        tasks = [(d_plain, thetas_plain, matrix[start:start + size],
-                  self.config.batch_samples)
+        tasks = [(d_plain, thetas_plain, matrix[start:start + size])
                  for start in range(0, n, size)]
 
         def rerun(task):

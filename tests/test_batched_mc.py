@@ -6,12 +6,15 @@ lockstep path must produce exactly the values, warm-cache counters and
 fault classification of the scalar per-sample loop.  These tests compare
 the two paths sample for sample on every shipped template (dense and
 sparse backends), under Hypothesis-driven random rows, with injected
-template faults, and through the executor / estimator / serve-request
-wiring.  The satellite regression tests of the same PR (zero-sample
-statistics, degenerate slew extraction, serve-client poll floor) live in
-their subsystems' own test modules.
+template faults, and through the executor and the estimator, where the
+operational Monte-Carlo must give the scalar loop's answer batched and
+pooled, warm and cold.  The scalar loop is reached the way production
+reaches it: through an evaluation stack the batched engine cannot
+unwrap (a zero-rate fault injector), or through the template base
+class's ``evaluate_batch``.
 """
 
+import contextlib
 import gc
 import logging
 import math
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from helpers import LinearTemplate
 import repro.circuit.batch as batch_module
 import repro.circuit.dc as dc_module
+import repro.circuits.base as base_module
 import repro.evaluation.measure as measure_module
 from repro.circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
                                  probe_maps)
@@ -34,15 +38,18 @@ from repro.circuit.dc import (CONVERGED, GMIN_FINAL, SOURCE_SCALES,
 from repro.circuit.linsolve import resolve_backend
 from repro.circuits import CIRCUITS
 from repro.circuits.base import (DEAD_CIRCUIT_PERFORMANCES,
-                                 DEFAULT_BATCH_SAMPLES, _ProbeGlobals)
+                                 DEFAULT_BATCH_SAMPLES, OpampTemplate,
+                                 _ProbeGlobals)
 from repro.circuits.miller import MillerOpamp
 from repro.errors import ConvergenceError, ReproError
 from repro.evaluation import Evaluator
 from repro.evaluation.gradient import STEP_S, performance_gradient_s
 from repro.evaluation.template import CircuitTemplate
-from repro.runtime import FaultPolicy, FaultTolerantEvaluator
+from repro.runtime import (FaultInjectingEvaluator, FaultPolicy,
+                           FaultTolerantEvaluator)
 from repro.runtime.policy import FaultAction
-from repro.yieldsim import BatchExecutor, ExecutionConfig, make_estimator
+from repro.spec.operating import find_worst_case_operating_points
+from repro.yieldsim import BatchExecutor, make_estimator
 
 DENSE_TEMPLATES = ["miller", "folded-cascode", "ota"]
 
@@ -56,6 +63,13 @@ def _rows(template, n, seed):
 def _serial_entries(template, d, rows, theta):
     """Reference: the scalar per-sample loop of the template base class."""
     return CircuitTemplate.evaluate_batch(template, d, rows, theta)
+
+
+def _stack(evaluator, scalar):
+    """``evaluator``, or for ``scalar`` the same evaluator under a
+    zero-rate fault injector: a stack the batched engine cannot unwrap,
+    so every sample takes the scalar per-sample loop."""
+    return FaultInjectingEvaluator(evaluator) if scalar else evaluator
 
 
 def _assert_entries_match(serial, batched):
@@ -73,7 +87,7 @@ def _assert_entries_match(serial, batched):
                 f"row {j} {key}: serial {a[key]!r} != batched {b[key]!r}"
 
 
-def _parity_case(name, n, seed, batch_samples, linsolve="auto"):
+def _parity_case(name, n, seed, linsolve="auto"):
     """Run serial and batched paths on fresh template instances and
     assert value + warm-cache-counter parity."""
     t_serial = CIRCUITS[name]()
@@ -83,8 +97,7 @@ def _parity_case(name, n, seed, batch_samples, linsolve="auto"):
     theta = t_serial.operating_range.nominal()
     rows = _rows(t_serial, n, seed)
     serial = _serial_entries(t_serial, d, rows, theta)
-    batched = t_batched.evaluate_batch(d, rows, theta,
-                                       batch_samples=batch_samples)
+    batched = t_batched.evaluate_batch(d, rows, theta)
     _assert_entries_match(serial, batched)
     assert t_serial.warm_cache_stats() == t_batched.warm_cache_stats()
 
@@ -92,36 +105,27 @@ def _parity_case(name, n, seed, batch_samples, linsolve="auto"):
 class TestBitwiseParity:
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     def test_dense_templates(self, name):
-        _parity_case(name, n=5, seed=11, batch_samples=None)
+        _parity_case(name, n=5, seed=11)
 
     def test_two_stage_array_sparse_backend(self):
-        _parity_case("two-stage-array", n=4, seed=3, batch_samples=4)
+        _parity_case("two-stage-array", n=4, seed=3)
 
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     def test_dense_templates_forced_sparse(self, name):
         # VCVS and inductor branch columns in the reused SuperLU ordering
-        _parity_case(name, n=5, seed=11, batch_samples=None,
-                     linsolve="sparse")
+        _parity_case(name, n=5, seed=11, linsolve="sparse")
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         t_a = CIRCUITS["miller"]()
         t_b = CIRCUITS["miller"]()
         d = t_a.initial_design()
         theta = t_a.operating_range.nominal()
         rows = _rows(t_a, 5, 29)
-        whole = t_a.evaluate_batch(d, rows, theta, batch_samples=8)
-        chunked = t_b.evaluate_batch(d, rows, theta, batch_samples=2)
+        whole = t_a.evaluate_batch(d, rows, theta)
+        monkeypatch.setattr(base_module, "DEFAULT_BATCH_SAMPLES", 2)
+        chunked = t_b.evaluate_batch(d, rows, theta)
         _assert_entries_match(whole, chunked)
         assert t_a.warm_cache_stats() == t_b.warm_cache_stats()
-
-    def test_batch_samples_one_is_the_scalar_loop(self):
-        t = CIRCUITS["miller"]()
-        d = t.initial_design()
-        theta = t.operating_range.nominal()
-        rows = _rows(t, 3, 5)
-        _assert_entries_match(_serial_entries(t, d, rows, theta),
-                              t.evaluate_batch(d, rows, theta,
-                                               batch_samples=1))
 
 
 class TestParityProperty:
@@ -129,19 +133,18 @@ class TestParityProperty:
     @given(seed=st.integers(0, 2 ** 20), n=st.integers(2, 4))
     @settings(max_examples=4, deadline=None)
     def test_dense_random_rows(self, name, seed, n):
-        _parity_case(name, n=n, seed=seed, batch_samples=None)
+        _parity_case(name, n=n, seed=seed)
 
     @given(seed=st.integers(0, 2 ** 20))
     @settings(max_examples=2, deadline=None)
     def test_sparse_random_rows(self, seed):
-        _parity_case("two-stage-array", n=3, seed=seed, batch_samples=3)
+        _parity_case("two-stage-array", n=3, seed=seed)
 
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     @given(seed=st.integers(0, 2 ** 20), n=st.integers(2, 4))
     @settings(max_examples=2, deadline=None)
     def test_forced_sparse_random_rows(self, name, seed, n):
-        _parity_case(name, n=n, seed=seed, batch_samples=None,
-                     linsolve="sparse")
+        _parity_case(name, n=n, seed=seed, linsolve="sparse")
 
 
 class _FaultyMiller(MillerOpamp):
@@ -193,24 +196,23 @@ class TestFaultClassificationParity:
         FaultTolerantEvaluator.resume_after_failure: values, policy
         counters and evaluator counters must all match the scalar
         stack."""
-        def run(batch_samples):
+        def run(scalar):
             template = _FaultyMiller(hard_below=87.5)
             guarded = FaultTolerantEvaluator(
-                Evaluator(template),
+                _stack(Evaluator(template), scalar),
                 FaultPolicy(actions={RuntimeError: FaultAction.RETRY}),
                 fail_mode="nan")
             d = template.initial_design()
             theta = template.operating_range.nominal()
             matrix = np.stack(_rows(template, 8, 11))
-            config = ExecutionConfig(batch_samples=batch_samples)
-            outcome = BatchExecutor(config).run(guarded, d, [theta], matrix)
+            outcome = BatchExecutor().run(guarded, d, [theta], matrix)
             return (outcome.values, outcome.simulations, outcome.requests,
                     guarded.failed_evaluations, guarded.retried_evaluations,
                     guarded.recovered_evaluations,
                     template.warm_cache_stats())
 
-        scalar = run(1)
-        batched = run(None)
+        scalar = run(True)
+        batched = run(False)
         assert scalar[1:] == batched[1:]
         # fail_mode="nan" rows need NaN-aware equality (NaN != NaN).
         for row_a, row_b in zip(scalar[0], batched[0]):
@@ -310,7 +312,7 @@ class TestRowMeasurementBranches:
         # moved further miss it and run the full sweep.
         monkeypatch.setattr(measure_module, "WARM_FT_SPAN", 1.05)
         calls = _count_searches(monkeypatch)
-        _parity_case("miller", n=8, seed=11, batch_samples=None)
+        _parity_case("miller", n=8, seed=11)
         # Per path: one warm search per row; one sweep for the
         # template's anchor and one per row that missed its bracket
         # (hits and misses both occur).
@@ -320,7 +322,7 @@ class TestRowMeasurementBranches:
 
     def test_unhinted_rows_run_the_sweep(self, monkeypatch):
         calls = _count_searches(monkeypatch)
-        _cold_parity_case("miller", n=6, seed=5, batch_samples=None)
+        _cold_parity_case("miller", n=6, seed=5)
         assert calls == {"warm": 0, "sweep": 2 * 6}
 
     @pytest.mark.parametrize("linsolve", ["dense", "sparse"])
@@ -412,8 +414,7 @@ class TestRowMeasurementMemory:
             return systems
 
         monkeypatch.setattr(batch_module.SampleBatchPlan, "ac_systems", spy)
-        _parity_case("miller", n=5, seed=11, batch_samples=None,
-                     linsolve="sparse")
+        _parity_case("miller", n=5, seed=11, linsolve="sparse")
         assert alive_at_assembly == [0, 1, 1, 1, 1]
         assert all(r() is None for r in refs)
 
@@ -495,74 +496,23 @@ class TestProbeVerification:
 
 
 class TestExecutorWiring:
-    def test_batch_samples_validated(self):
-        with pytest.raises(ReproError):
-            ExecutionConfig(batch_samples=0)
-        assert ExecutionConfig(batch_samples=None).batch_samples is None
-        assert ExecutionConfig(batch_samples=7).batch_samples == 7
-
-    def test_make_estimator_threads_batch_samples(self):
-        est = make_estimator("mc", batch_samples=9)
-        assert est.execution.batch_samples == 9
-
     def test_default_chunk_is_documented_size(self):
         assert DEFAULT_BATCH_SAMPLES == 32
 
     def test_analytic_template_unaffected(self):
-        """Templates without a batched engine run the plain loop under
-        either setting."""
-        template = LinearTemplate(offset=0.0)
-        evaluator = Evaluator(template)
+        """Templates without a batched engine run the plain loop on
+        either stack."""
         d = {"d0": 1.0, "d1": 0.0}
         theta = {"temp": 27.0}
         matrix = np.random.default_rng(3).standard_normal((6, 2))
-        a = BatchExecutor(ExecutionConfig(batch_samples=1)).run(
-            evaluator, d, [theta], matrix)
-        b = BatchExecutor(ExecutionConfig()).run(
-            evaluator, d, [theta], matrix)
+        a, b = (BatchExecutor().run(
+            _stack(Evaluator(LinearTemplate(offset=0.0)), scalar), d,
+            [theta], matrix) for scalar in (True, False))
         assert a.values == b.values
         assert a.backend == b.backend == "serial"
 
 
-class TestServeRequestWiring:
-    def test_yield_request_round_trip_and_cache_key(self):
-        from repro.serve.jobs import YieldRequest, cache_key
-        base = YieldRequest(circuit="miller", n_samples=10, seed=1)
-        tuned = YieldRequest(circuit="miller", n_samples=10, seed=1,
-                             batch_samples=8)
-        restored = YieldRequest.from_dict(tuned.to_dict())
-        assert restored.batch_samples == 8
-        # Execution-only knob: identical results, identical store key.
-        assert cache_key(base) == cache_key(tuned)
-
-    def test_optimize_request_round_trip_and_cache_key(self):
-        from repro.serve.jobs import OptimizeRequest, optimize_cache_key
-        base = OptimizeRequest(circuit="miller", seed=1)
-        tuned = OptimizeRequest(circuit="miller", seed=1, batch_samples=16)
-        restored = OptimizeRequest.from_dict(tuned.to_dict())
-        assert restored.batch_samples == 16
-        assert optimize_cache_key(base) == optimize_cache_key(tuned)
-
-    def test_cold_dc_round_trips_and_changes_cache_key(self):
-        from repro.serve.jobs import YieldRequest, cache_key
-        base = YieldRequest(circuit="miller", n_samples=10, seed=1)
-        cold = YieldRequest(circuit="miller", n_samples=10, seed=1,
-                            cold_dc=True)
-        assert YieldRequest.from_dict(cold.to_dict()).cold_dc is True
-        # Unlike batch_samples, cold_dc changes the Newton trajectories
-        # (and the result bits), so it must split the result cache.
-        assert cache_key(base) != cache_key(cold)
-
-    def test_rejects_nonpositive_batch_samples(self):
-        from repro.errors import ServeError
-        from repro.serve.jobs import OptimizeRequest, YieldRequest
-        with pytest.raises(ServeError):
-            YieldRequest(circuit="miller", batch_samples=0)
-        with pytest.raises(ServeError):
-            OptimizeRequest(circuit="miller", batch_samples=-1)
-
-
-def _cold_parity_case(name, n, seed, batch_samples, linsolve="auto"):
+def _cold_parity_case(name, n, seed, linsolve="auto"):
     """Like ``_parity_case`` with warm anchors disabled on both paths:
     every sample enters the homotopy chain at the cold Newton stage, and
     the per-strategy DC effort counters must also agree."""
@@ -575,8 +525,7 @@ def _cold_parity_case(name, n, seed, batch_samples, linsolve="auto"):
     theta = t_serial.operating_range.nominal()
     rows = _rows(t_serial, n, seed)
     serial = _serial_entries(t_serial, d, rows, theta)
-    batched = t_batched.evaluate_batch(d, rows, theta,
-                                       batch_samples=batch_samples)
+    batched = t_batched.evaluate_batch(d, rows, theta)
     _assert_entries_match(serial, batched)
     assert t_serial.dc_effort_stats() == t_batched.dc_effort_stats()
 
@@ -607,27 +556,25 @@ def _cold_fixture(name, n, seed):
 class TestColdChainParity:
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     def test_dense_templates_cold(self, name):
-        _cold_parity_case(name, n=5, seed=11, batch_samples=None)
+        _cold_parity_case(name, n=5, seed=11)
 
     def test_two_stage_array_sparse_cold(self):
-        _cold_parity_case("two-stage-array", n=4, seed=3, batch_samples=4)
+        _cold_parity_case("two-stage-array", n=4, seed=3)
 
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     def test_dense_templates_forced_sparse_cold(self, name):
-        _cold_parity_case(name, n=5, seed=11, batch_samples=None,
-                          linsolve="sparse")
+        _cold_parity_case(name, n=5, seed=11, linsolve="sparse")
 
     @pytest.mark.parametrize("name", DENSE_TEMPLATES)
     @given(seed=st.integers(0, 2 ** 20))
     @settings(max_examples=2, deadline=None)
     def test_dense_random_rows_cold(self, name, seed):
-        _cold_parity_case(name, n=3, seed=seed, batch_samples=None)
+        _cold_parity_case(name, n=3, seed=seed)
 
     @given(seed=st.integers(0, 2 ** 20))
     @settings(max_examples=2, deadline=None)
     def test_sparse_random_rows_cold(self, seed):
-        _cold_parity_case("two-stage-array", n=3, seed=seed,
-                          batch_samples=3)
+        _cold_parity_case("two-stage-array", n=3, seed=seed)
 
 
 def _substage_parity(plan, circuits, t, points):
@@ -784,13 +731,11 @@ class TestColdFaultClassificationParity:
         """Estimator-level failed_samples parity on the cold path: rows
         whose evaluation faults under the nan fail-mode must be counted
         identically by the scalar and batched engines."""
-        from repro.spec.operating import find_worst_case_operating_points
-
-        def run(batch_samples):
+        def run(scalar):
             template = _FaultyMiller(hard_below=87.5)
             template.warm_dc = False
             guarded = FaultTolerantEvaluator(
-                Evaluator(template),
+                _stack(Evaluator(template), scalar),
                 FaultPolicy(actions={RuntimeError: FaultAction.RETRY}),
                 fail_mode="nan")
             d = template.initial_design()
@@ -798,7 +743,7 @@ class TestColdFaultClassificationParity:
             theta_wc = find_worst_case_operating_points(
                 lambda theta: guarded.evaluate(d, s0, theta),
                 template.specs, template.operating_range)
-            est = make_estimator("mc", batch_samples=batch_samples)
+            est = make_estimator("mc")
             with guarded.lenient():
                 r = est.estimate(guarded, d, theta_wc, n_samples=16,
                                  seed=11)
@@ -806,34 +751,95 @@ class TestColdFaultClassificationParity:
                     r.report.failed_samples, dict(r.report.dc_effort),
                     template.dc_effort_stats())
 
-        scalar = run(1)
-        batched = run(None)
+        scalar = run(True)
+        batched = run(False)
         assert scalar == batched
         assert batched[3] > 0  # the injected faults actually failed rows
 
 
+#: the result fields every execution mode must reproduce exactly
+MODE_FIELDS = ("estimate", "ci_low", "ci_high", "n_samples", "simulations",
+               "bad_fraction", "performance_mean", "performance_std")
+
+
+def _count_batch_calls(monkeypatch):
+    """Count this process's calls of the batched template engine."""
+    calls = []
+    batched = OpampTemplate.evaluate_batch
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return batched(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpampTemplate, "evaluate_batch", counting)
+    return calls
+
+
 class TestEstimatorEndToEnd:
-    def test_operational_mc_identical_scalar_vs_batched(self):
-        from repro.spec.operating import find_worst_case_operating_points
+    """The operational Monte-Carlo gives the scalar loop's answer in every
+    execution mode: the batched engine (one chunk, and chunks of 8 rows)
+    and a two-worker pool, with warm anchors and from the cold chain."""
 
-        def run(batch_samples):
-            template = CIRCUITS["miller"]()
-            guarded = FaultTolerantEvaluator(Evaluator(template),
-                                             FaultPolicy())
-            d = template.initial_design()
-            s0 = template.statistical_space.nominal()
-            theta_wc = find_worst_case_operating_points(
-                lambda theta: guarded.evaluate(d, s0, theta),
-                template.specs, template.operating_range)
-            est = make_estimator("mc", batch_samples=batch_samples)
-            with guarded.lenient():
-                r = est.estimate(guarded, d, theta_wc, n_samples=24,
+    @staticmethod
+    def _estimate(mode, name, linsolve, warm_dc, tolerant, seed):
+        template = CIRCUITS[name]()
+        template.linsolve = linsolve
+        template.warm_dc = warm_dc
+        evaluator = _stack(Evaluator(template), mode == "scalar")
+        if tolerant:
+            evaluator = FaultTolerantEvaluator(evaluator, FaultPolicy())
+        d = template.initial_design()
+        s0 = template.statistical_space.nominal()
+        theta_wc = find_worst_case_operating_points(
+            lambda theta: evaluator.evaluate(d, s0, theta),
+            template.specs, template.operating_range)
+        estimator = make_estimator("mc", jobs=2 if mode == "pooled" else 1)
+        with evaluator.lenient() if tolerant else contextlib.nullcontext():
+            result = estimator.estimate(evaluator, d, theta_wc,
+                                        n_samples=24, seed=seed)
+        return result, template.warm_cache_stats()
+
+    def _assert_modes_agree(self, monkeypatch, name, linsolve="auto",
+                            warm_dc=True, tolerant=False, seed=3):
+        case = dict(name=name, linsolve=linsolve, warm_dc=warm_dc,
+                    tolerant=tolerant, seed=seed)
+        calls = _count_batch_calls(monkeypatch)
+        scalar, scalar_warm = self._estimate("scalar", **case)
+        assert calls == []  # the scalar loop ran every sample
+        assert sum(scalar.report.dc_effort.values()) > 0
+        runs = {"batched": self._estimate("batched", **case)}
+        assert calls  # the batched engine ran
+        with monkeypatch.context() as patch:
+            patch.setattr(base_module, "DEFAULT_BATCH_SAMPLES", 8)
+            runs["chunked"] = self._estimate("chunked", **case)
+        runs["pooled"] = self._estimate("pooled", **case)
+        assert runs["pooled"][0].report.backend == "process-pool"
+        for mode, (result, warm) in runs.items():
+            for key in MODE_FIELDS:
+                assert getattr(result, key) == getattr(scalar, key), \
+                    f"{mode} {key}"
+            assert result.report.dc_effort == scalar.report.dc_effort, mode
+            assert result.report.cache_hits == scalar.report.cache_hits, mode
+            if mode != "pooled":
+                # Pool workers build their own anchors, so warm-cache
+                # effort is compared in-process only.
+                assert warm == scalar_warm, mode
+
+    @pytest.mark.parametrize("warm_dc", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("name, linsolve", [
+        ("ota", "auto"), ("miller", "auto"), ("folded-cascode", "sparse")])
+    def test_execution_modes_agree(self, monkeypatch, name, linsolve,
+                                   warm_dc):
+        """ota measures noise, miller the phase margin, and the folded
+        cascode on the sparse backend runs the learned SuperLU
+        ordering."""
+        self._assert_modes_agree(monkeypatch, name, linsolve=linsolve,
+                                 warm_dc=warm_dc)
+
+    def test_operational_mc_identical_scalar_vs_batched(self, monkeypatch):
+        """The same check through a lenient fault-tolerant stack."""
+        self._assert_modes_agree(monkeypatch, "miller", tolerant=True,
                                  seed=7)
-            return (r.estimate, r.ci_low, r.ci_high, r.n_samples,
-                    r.report.simulations, r.report.cache_hits,
-                    template.warm_cache_stats())
-
-        assert run(1) == run(None)
 
 
 ALL_TEMPLATES = DENSE_TEMPLATES + ["two-stage-array"]

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.circuits.base import OpampTemplate
 from repro.cli import build_parser, main
+from repro.errors import ServeError
 
 
 class TestParser:
@@ -26,6 +28,19 @@ class TestParser:
              "--nominal-linearization"])
         assert args.no_constraints
         assert args.nominal_linearization
+
+
+class TestJobsValidation:
+    @pytest.mark.parametrize("command", ["yield", "optimize"])
+    def test_zero_jobs_fail_before_any_simulation(self, monkeypatch,
+                                                  command):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before --jobs was checked")
+
+        monkeypatch.setattr(OpampTemplate, "evaluate", simulated)
+        monkeypatch.setattr(OpampTemplate, "evaluate_batch", simulated)
+        with pytest.raises(ServeError, match="jobs must be >= 1"):
+            main([command, "miller", "--jobs", "0"])
 
 
 class TestEvaluateCommand:

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import LinearTemplate
 
+import repro.circuit.ac as ac_module
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.ac import (AcSystem, SECTION_POINTS,
                               shared_matrix_transfers,
@@ -77,17 +78,18 @@ class TestSolveMany:
 
 
 class TestUnityGainSearch:
-    def test_section_one_is_classic_bisection(self):
+    def test_section_one_is_classic_bisection(self, monkeypatch):
         ckt = two_stage_gain_block()
         system = AcSystem(ckt, solve_dc(ckt))
         batched = unity_gain_frequency(system, "out")
-        bisect = unity_gain_frequency(system, "out", section_points=1)
+        monkeypatch.setattr(ac_module, "SECTION_POINTS", 1)
+        bisect = unity_gain_frequency(system, "out")
         # Both brackets shrink below the same log-f tolerance, so the
         # midpoints agree to that tolerance.
         assert math.isclose(math.log10(batched), math.log10(bisect),
                             abs_tol=1e-7)
 
-    def test_batched_search_uses_fewer_solves(self):
+    def test_batched_search_uses_fewer_solves(self, monkeypatch):
         ckt = two_stage_gain_block()
         system = AcSystem(ckt, solve_dc(ckt))
         calls = {"many": 0, "one": 0}
@@ -106,7 +108,8 @@ class TestUnityGainSearch:
         unity_gain_frequency(system, "out")
         batched_rounds = calls["many"]
         calls["many"] = calls["one"] = 0
-        unity_gain_frequency(system, "out", section_points=1)
+        monkeypatch.setattr(ac_module, "SECTION_POINTS", 1)
+        unity_gain_frequency(system, "out")
         bisect_rounds = calls["many"]
         assert batched_rounds * (SECTION_POINTS + 1) >= bisect_rounds
         assert batched_rounds < bisect_rounds / 2

@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import ArtifactError, ServeError
 from repro.serve import (KIND_MERGED, KIND_YIELD, SCHEMA_VERSION,
-                         YieldRequest, cache_key, canonical_request,
-                         check_merge_compatible, load_result_artifact,
-                         make_provenance, merged_provenance,
-                         validate_artifact, wrap_result)
+                         OptimizeRequest, YieldRequest, cache_key,
+                         canonical_request, check_merge_compatible,
+                         load_result_artifact, make_provenance,
+                         merged_provenance, validate_artifact, wrap_result)
 from repro.statistics import wilson_interval
 from repro.yieldsim import SufficientStats, YieldResult
 from repro.yieldsim.result import KIND_BINOMIAL
@@ -49,9 +49,8 @@ class TestArtifactFormat:
         assert result.to_dict() == binomial_result(7, 10).to_dict()
 
     def test_provenance_optional_fields(self):
-        block = provenance(shard="1/4", shards=None, linsolve="sparse")
+        block = provenance(shard="1/4", shards=None)
         assert block["shard"] == "1/4"
-        assert block["linsolve"] == "sparse"
         assert "shards" not in block
         block = provenance(extra={"template": "evil", "note": "x"})
         # extra must not displace required fields
@@ -102,13 +101,15 @@ class TestMergeCompatibility:
         assert "a.json" in message and "b.json" in message
 
     def test_merged_provenance_derivation(self):
-        block = merged_provenance([None, provenance(linsolve="dense")],
-                                  n_samples=20, shards=2)
+        # A shard artifact written before the backend knob was deleted
+        # still carries its "linsolve" entry; the merge drops it.
+        legacy = dict(provenance(), linsolve="dense")
+        block = merged_provenance([None, legacy], n_samples=20, shards=2)
         assert block["template"] == "ota"
         assert block["shards"] == 2
         assert block["n_samples"] == 20
         assert block["command"] == "merge-verify"
-        assert block["linsolve"] == "dense"
+        assert "linsolve" not in block
 
 
 class TestYieldRequest:
@@ -121,6 +122,7 @@ class TestYieldRequest:
         (dict(circuit="nope"), "unknown circuit"),
         (dict(circuit="ota", estimator="bogus"), "unknown estimator"),
         (dict(circuit="ota", n_samples=0), "n_samples"),
+        (dict(circuit="ota", jobs=0), "jobs must be >= 1"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(ServeError, match=fragment):
@@ -129,6 +131,61 @@ class TestYieldRequest:
     def test_from_dict_wraps_errors(self):
         with pytest.raises(ServeError, match="invalid yield request"):
             YieldRequest.from_dict({"circuit": "ota", "n_samples": "x"})
+
+
+class TestOptimizeRequest:
+    def test_round_trip(self):
+        request = OptimizeRequest(circuit="miller", iterations=2, seed=5,
+                                  estimator="is", jobs=2)
+        assert OptimizeRequest.from_dict(request.to_dict()) == request
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_nonpositive_jobs(self, jobs):
+        # Below one worker the optimizer would silently run serially.
+        with pytest.raises(ServeError, match="jobs must be >= 1"):
+            OptimizeRequest(circuit="miller", jobs=jobs)
+        with pytest.raises(ServeError, match="jobs must be >= 1"):
+            OptimizeRequest.from_dict({"circuit": "miller", "jobs": jobs})
+
+    def test_one_job_is_serial_and_accepted(self):
+        assert OptimizeRequest(circuit="miller", jobs=1).jobs == 1
+        assert YieldRequest(circuit="miller", jobs=1).jobs == 1
+
+
+class TestStoredRequests:
+    """Requests in the form the write-ahead log and job records stored
+    before the engine-mode options were deleted still parse, into the
+    same request without those keys (``from_dict`` ignores keys it does
+    not know)."""
+
+    def test_yield_request(self):
+        stored = {"circuit": "ota", "estimator": "qmc", "n_samples": 16,
+                  "seed": 5, "jobs": 2, "linsolve": None,
+                  "chunk_timeout": 30.0, "batch_samples": None,
+                  "shard": "1/2", "cold_dc": False,
+                  "policy": {"lenient": True}}
+        request = YieldRequest.from_dict(stored)
+        assert request == YieldRequest(
+            circuit="ota", estimator="qmc", n_samples=16, seed=5, jobs=2,
+            chunk_timeout=30.0, shard="1/2", policy={"lenient": True})
+        assert request.to_dict() == {
+            key: value for key, value in stored.items()
+            if key not in ("linsolve", "batch_samples", "cold_dc")}
+
+    def test_optimize_request(self):
+        stored = {"circuit": "miller", "iterations": 2,
+                  "samples_linear": 500, "samples_verify": 20, "seed": 5,
+                  "estimator": "is", "use_constraints": False,
+                  "linearize_at": "nominal", "linsolve": None, "jobs": 2,
+                  "batch_samples": None}
+        request = OptimizeRequest.from_dict(stored)
+        assert request == OptimizeRequest(
+            circuit="miller", iterations=2, samples_linear=500,
+            samples_verify=20, seed=5, estimator="is",
+            use_constraints=False, linearize_at="nominal", jobs=2)
+        assert request.to_dict() == {
+            key: value for key, value in stored.items()
+            if key not in ("linsolve", "batch_samples")}
 
 
 class TestCacheKey:
@@ -148,7 +205,6 @@ class TestCacheKey:
         assert cache_key(self.request(n_samples=32)) != base
         assert cache_key(self.request(estimator="mc")) != base
         assert cache_key(self.request(circuit="miller")) != base
-        assert cache_key(self.request(linsolve="dense")) != base
         assert cache_key(self.request(policy={"lenient": False})) != base
 
     def test_qmc_sharding_is_cache_transparent(self):

@@ -61,6 +61,15 @@ class TestSubmitValidation:
             tmp_path, {"kind": "yield", "request": REQUEST, "shards": 99})
         assert "non-empty shards" in message
 
+    def test_rejects_nonpositive_jobs(self, tmp_path):
+        message = self.submit_error(
+            tmp_path, {"kind": "yield", "request": dict(REQUEST, jobs=0)})
+        assert "jobs must be >= 1" in message
+        message = self.submit_error(
+            tmp_path, {"kind": "optimize",
+                       "request": {"circuit": "ota", "jobs": 0}})
+        assert "jobs must be >= 1" in message
+
     def test_rejects_unknown_circuit_and_bad_budget(self, tmp_path):
         message = self.submit_error(
             tmp_path,
