@@ -24,7 +24,7 @@ function, which the evaluation layer turns into opamp performances.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class AcSystem:
         system._engine = engine
         system._rhs = engine.rhs
         return system
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     # Dense matrix views for consumers that need raw ``(G, B)`` (e.g.
     # the noise solver's adjoint transpose solve).

@@ -51,8 +51,8 @@ from .devices import (Capacitor, Inductor, Isource, Mosfet, Resistor, Vcvs,
                       Vccs, Vsource)
 from .linsolve import (DenseAcEngine, SparseAcEngine, SparsePattern,
                        TripletStamper, resolve_backend)
-from .mos import (REGION_NAMES, evaluate_nmos_batch,
-                  evaluate_nmos_stacked, intrinsic_capacitances_batch)
+from .mos import (REGION_NAMES, evaluate_nmos_stacked,
+                  intrinsic_capacitances, intrinsic_capacitances_batch)
 from .netlist import Circuit
 
 #: Resistance factor of the probe build; a power of two, so a builder
@@ -114,20 +114,14 @@ def probe_maps(proto: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
     return dvto, beta
 
 
-def _col(x: np.ndarray, index: int) -> np.ndarray:
-    """Per-sample voltage column, treating ground (-1) as 0 V."""
-    if index < 0:
-        return np.zeros(x.shape[0])
-    return x[:, index]
-
-
 def _mos_adds(nd: int, ng: int, ns: int, nb: int
               ) -> Tuple[List[Tuple[int, int, int, float]],
                          List[Tuple[int, int]]]:
-    """The 8 Jacobian adds + 2 rhs adds of ``Mosfet.stamp_dc`` /
-    ``stamp_ac_parts`` (G part) for one drain/source orientation, with
-    the ground skips applied.  Quantity indices: 0=gm 1=gds 2=gmb 3=gsum;
-    rhs sign multiplies ``ieq``."""
+    """The 8 Jacobian adds of ``Mosfet._stamp_conductances`` (the
+    conductance block of ``stamp_dc`` and of the G part of
+    ``stamp_ac_parts``) + the 2 rhs adds of ``stamp_dc`` for one
+    drain/source orientation, with the ground skips applied.  Quantity
+    indices: 0=gm 1=gds 2=gmb 3=gsum; rhs sign multiplies ``ieq``."""
     adds = []
     for row, col, qty, sign in (
             (nd, ng, 0, 1.0), (nd, nd, 1, 1.0), (nd, nb, 2, 1.0),
@@ -177,7 +171,9 @@ class _MosPlan:
         self.l = dev.l
         self.tracked_vto = tracked_vto
         self.tracked_beta = tracked_beta
-        self.cj = self.model_t.cj * self.w_eff * self.model_t.ldif
+        # junction capacitance, the same in every region
+        self.cj = intrinsic_capacitances(self.model_t, self.w_eff, self.l,
+                                         "cutoff")[2]
         nd, ng, ns, nb = nodes
         self.dc_variants = {}
         self.rhs_variants = {}
@@ -460,8 +456,8 @@ class SampleBatchPlan:
         evaluation: every ``(devices,)`` constant is computed with the
         exact scalar expression the per-device path uses
         (``lambda_ / (l * 1e6)``, ``w / l``), so broadcasting them over
-        the sample axis reproduces :func:`evaluate_nmos_batch`
-        bit-for-bit."""
+        the sample axis reproduces the scalar
+        :func:`~repro.circuit.mos.evaluate_nmos` bit-for-bit."""
         idx = np.zeros((4, self.n_mos), dtype=np.intp)
         gnd = np.zeros((4, self.n_mos), dtype=bool)
         for mp in self.mosfets:
@@ -493,7 +489,7 @@ class SampleBatchPlan:
         All devices are evaluated in one stacked
         :func:`evaluate_nmos_stacked` call — the per-device model rows
         broadcast over the sample axis, so per element the arithmetic is
-        the per-device loop's, minus its Python/ufunc call overhead."""
+        the scalar model's."""
         idx, gnd = self._mos_node_idx, self._mos_node_gnd
         volts = x[:, idx]  # (k, 4, n_mos) in d/g/s/b terminal order
         if gnd.any():

@@ -371,7 +371,24 @@ def solve_dc(circuit: Circuit, temp_c: float = 27.0,
     return DCResult(circuit, layout, x[0], temp_c, int(iterations[0]), label)
 
 
-class DcEffort:
+class _Counters:
+    """Snapshot arithmetic shared by :class:`DcEffort` and
+    :class:`WarmStartCache`, whose ``stats()`` carry the monotone
+    counters named in ``COUNTER_KEYS``."""
+
+    COUNTER_KEYS: Tuple[str, ...] = ()
+
+    @classmethod
+    def counter_delta(cls, after: Dict[str, int],
+                      before: Dict[str, int]) -> Dict[str, int]:
+        """Monotone-counter difference of two ``stats()`` snapshots, in
+        ``COUNTER_KEYS`` order, so reports serialize the same under any
+        hash seed."""
+        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
+                for key in cls.COUNTER_KEYS}
+
+
+class DcEffort(_Counters):
     """Per-strategy DC solve counters, additive across pool workers.
 
     One counter per homotopy strategy label (``newton-warm`` / ``newton``
@@ -404,19 +421,11 @@ class DcEffort:
         for key, value in counters.items():
             self._counts[key] = self._counts.get(key, 0) + int(value)
 
-    @classmethod
-    def counter_delta(cls, after: Dict[str, int],
-                      before: Dict[str, int]) -> Dict[str, int]:
-        """Monotone-counter difference of two :meth:`stats` snapshots."""
-        keys = set(after) | set(before)
-        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
-                for key in keys}
-
     def clear(self) -> None:
         self._counts = {key: 0 for key in self.COUNTER_KEYS}
 
 
-class WarmStartCache:
+class WarmStartCache(_Counters):
     """Bounded FIFO store of DC anchor solutions, keyed by quantized
     ``(d, theta)`` cells.
 
@@ -520,13 +529,6 @@ class WarmStartCache:
         for key in self.COUNTER_KEYS:
             setattr(self, key, getattr(self, key)
                     + int(counters.get(key, 0)))
-
-    @classmethod
-    def counter_delta(cls, after: Dict[str, int],
-                      before: Dict[str, int]) -> Dict[str, int]:
-        """Monotone-counter difference of two :meth:`stats` snapshots."""
-        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
-                for key in cls.COUNTER_KEYS}
 
     def clear(self) -> None:
         self._data.clear()

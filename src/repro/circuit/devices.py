@@ -3,11 +3,12 @@
 Every device knows how to *stamp* itself into the modified-nodal-analysis
 (MNA) matrix for the three analyses this package supports:
 
-* ``stamp_dc``   — large-signal companion model at a candidate solution
-  ``x`` (Newton iteration),
-* ``stamp_ac``   — complex small-signal admittance at angular frequency
-  ``omega`` around the stored operating point,
-* ``stamp_tran`` — backward-Euler companion model for one time step.
+* ``stamp_dc``       — large-signal companion model at a candidate
+  solution ``x`` (Newton iteration),
+* ``stamp_ac_parts`` — small-signal stamp around the stored operating
+  point, split into the frequency-independent ``G`` and ``B`` of
+  ``(G + j*omega*B) x = rhs``,
+* ``stamp_tran``     — backward-Euler companion model for one time step.
 
 The stamping target is a :class:`Stamper`, a thin wrapper over a dense
 matrix/vector pair that ignores the ground index ``-1``.  Devices never see
@@ -17,7 +18,6 @@ in terminal order plus their branch-current indices.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,11 +88,6 @@ class Device:
     def stamp_dc(self, st: Stamper, x: np.ndarray, nodes: Sequence[int],
                  branches: Sequence[int]) -> None:
         raise NotImplementedError
-
-    def stamp_ac(self, st: Stamper, omega: float, nodes: Sequence[int],
-                 branches: Sequence[int], op: Optional[dict]) -> None:
-        """Default AC behaviour: same stamp as DC for linear devices."""
-        self.stamp_dc(st, np.zeros(0), nodes, branches)
 
     def stamp_ac_parts(self, st_g: Stamper, st_b: Stamper,
                        nodes: Sequence[int], branches: Sequence[int],
@@ -168,9 +163,6 @@ class Capacitor(Device):
     def stamp_dc(self, st, x, nodes, branches):
         pass  # open circuit
 
-    def stamp_ac(self, st, omega, nodes, branches, op):
-        st.add_conductance(nodes[0], nodes[1], 1j * omega * self.capacitance)
-
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         st_b.add_conductance(nodes[0], nodes[1], self.capacitance)
 
@@ -217,10 +209,6 @@ class Inductor(Device):
     def stamp_dc(self, st, x, nodes, branches):
         self._stamp_branch(st, nodes, branches)  # v_a - v_b = 0
 
-    def stamp_ac(self, st, omega, nodes, branches, op):
-        self._stamp_branch(st, nodes, branches)
-        st.add(branches[0], branches[0], -1j * omega * self.inductance)
-
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         self._stamp_branch(st_g, nodes, branches)
         st_b.add(branches[0], branches[0], -self.inductance)
@@ -266,9 +254,6 @@ class Vsource(Device):
     def stamp_dc(self, st, x, nodes, branches):
         self._stamp_branch(st, nodes, branches, self.dc * self.scale)
 
-    def stamp_ac(self, st, omega, nodes, branches, op):
-        self._stamp_branch(st, nodes, branches, self.ac)
-
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         self._stamp_branch(st_g, nodes, branches, self.ac)
 
@@ -296,9 +281,6 @@ class Isource(Device):
 
     def stamp_dc(self, st, x, nodes, branches):
         self._stamp(st, nodes, self.dc * self.scale)
-
-    def stamp_ac(self, st, omega, nodes, branches, op):
-        self._stamp(st, nodes, self.ac)
 
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         self._stamp(st_g, nodes, self.ac)
@@ -403,6 +385,20 @@ class Mosfet(Device):
         ev = evaluate_nmos(model, self.w * self.m, self.l, vgs, vds, vbs)
         return ev, swapped, vgs, vds, vbs
 
+    @staticmethod
+    def _stamp_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum):
+        """The ``gm``/``gds``/``gmb`` block between the effective drain,
+        gate, source and bulk nodes, shared by the Newton Jacobian and
+        the AC ``G`` part; ``batch._mos_adds`` mirrors its add order."""
+        st.add(nd, ng, gm)
+        st.add(nd, nd, gds)
+        st.add(nd, nb, gmb)
+        st.add(nd, ns, -gsum)
+        st.add(ns, ng, -gm)
+        st.add(ns, nd, -gds)
+        st.add(ns, nb, -gmb)
+        st.add(ns, ns, gsum)
+
     def stamp_dc(self, st, x, nodes, branches):
         ev, swapped, vgs, vds, vbs = self._evaluate(x, nodes)
         nd, ng, ns, nb = nodes
@@ -420,39 +416,9 @@ class Mosfet(Device):
         vb_r = _voltage(x, nb)
         i_d = pol * ev.ids
         ieq = i_d - (gm * vg_r + gds * vd_r + gmb * vb_r - gsum * vs_r)
-        st.add(nd, ng, gm)
-        st.add(nd, nd, gds)
-        st.add(nd, nb, gmb)
-        st.add(nd, ns, -gsum)
-        st.add(ns, ng, -gm)
-        st.add(ns, nd, -gds)
-        st.add(ns, nb, -gmb)
-        st.add(ns, ns, gsum)
+        self._stamp_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum)
         st.add_rhs(nd, -ieq)
         st.add_rhs(ns, ieq)
-
-    def stamp_ac(self, st, omega, nodes, branches, op):
-        if op is None:
-            raise NetlistError(
-                f"mosfet {self.name}: AC stamp requires an operating point")
-        nd, ng, ns, nb = nodes
-        if op["swapped"]:
-            nd, ns = ns, nd
-        gm, gds, gmb = op["gm"], op["gds"], op["gmb"]
-        gsum = gm + gds + gmb
-        st.add(nd, ng, gm)
-        st.add(nd, nd, gds)
-        st.add(nd, nb, gmb)
-        st.add(nd, ns, -gsum)
-        st.add(ns, ng, -gm)
-        st.add(ns, nd, -gds)
-        st.add(ns, nb, -gmb)
-        st.add(ns, ns, gsum)
-        jw = 1j * omega
-        st.add_conductance(ng, ns, jw * op["cgs"])
-        st.add_conductance(ng, nd, jw * op["cgd"])
-        st.add_conductance(nd, nb, jw * op["cdb"])
-        st.add_conductance(ns, nb, jw * op["csb"])
 
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         if op is None:
@@ -462,15 +428,8 @@ class Mosfet(Device):
         if op["swapped"]:
             nd, ns = ns, nd
         gm, gds, gmb = op["gm"], op["gds"], op["gmb"]
-        gsum = gm + gds + gmb
-        st_g.add(nd, ng, gm)
-        st_g.add(nd, nd, gds)
-        st_g.add(nd, nb, gmb)
-        st_g.add(nd, ns, -gsum)
-        st_g.add(ns, ng, -gm)
-        st_g.add(ns, nd, -gds)
-        st_g.add(ns, nb, -gmb)
-        st_g.add(ns, ns, gsum)
+        self._stamp_conductances(st_g, nd, ng, ns, nb, gm, gds, gmb,
+                                 gm + gds + gmb)
         st_b.add_conductance(ng, ns, op["cgs"])
         st_b.add_conductance(ng, nd, op["cgd"])
         st_b.add_conductance(nd, nb, op["cdb"])

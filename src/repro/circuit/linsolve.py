@@ -33,8 +33,8 @@ Backend selection is automatic by node count (:func:`resolve_backend`):
 circuits below :data:`AUTO_SPARSE_MIN_NODES` unknowns stay on the dense
 path — which keeps every pre-existing template bit-identical — while
 large templates (e.g. ``two_stage_array``) switch to sparse.  An explicit
-``"dense"``/``"sparse"`` override is threaded from the CLI through
-``OptimizerConfig``/``Evaluator`` down to here.
+``"dense"``/``"sparse"`` choice comes from a template's ``linsolve``
+attribute or a direct ``backend=`` argument of the analyses.
 """
 
 from __future__ import annotations

@@ -135,10 +135,10 @@ def _softplus(x: float, width: float) -> tuple[float, float]:
     ``|x| >> width`` it degenerates to ``max(x, 0)`` without overflow.
 
     Uses ``np.exp`` / ``np.log1p`` (not :mod:`math`) so the scalar path
-    is bitwise identical to the vectorized :func:`softplus_batch` — the
-    two libm implementations differ in the last ulp for some arguments,
-    and the sample-batched engine's parity guarantee rests on both paths
-    computing the same bits.
+    is bitwise identical to the vectorized softplus of
+    :func:`evaluate_nmos_stacked` — the two libm implementations differ
+    in the last ulp for some arguments, and the sample-batched engine's
+    parity guarantee rests on both paths computing the same bits.
     """
     t = x / width
     if t > 35.0:
@@ -148,26 +148,6 @@ def _softplus(x: float, width: float) -> tuple[float, float]:
         return width * e, e
     e = float(np.exp(t))
     return width * float(np.log1p(e)), e / (1.0 + e)
-
-
-def softplus_batch(x: np.ndarray, width: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_softplus`, elementwise bitwise identical."""
-    t = x / width
-    value = np.empty_like(t)
-    slope = np.empty_like(t)
-    hi = t > 35.0
-    lo = t < -35.0
-    mid = ~(hi | lo)
-    value[hi] = x[hi]
-    slope[hi] = 1.0
-    e_lo = np.exp(t[lo])
-    value[lo] = width * e_lo
-    slope[lo] = e_lo
-    e = np.exp(t[mid])
-    value[mid] = width * np.log1p(e)
-    slope[mid] = e / (1.0 + e)
-    return value, slope
 
 
 def evaluate_nmos(
@@ -263,90 +243,20 @@ def evaluate_nmos_batch(
     vto: Optional[np.ndarray] = None,
     kp: Optional[np.ndarray] = None,
 ) -> dict:
-    """Vectorized :func:`evaluate_nmos` over a sample axis.
+    """:func:`evaluate_nmos_stacked` for **one** device over a sample axis.
 
-    ``vgs``/``vds``/``vbs`` are per-sample arrays for **one** device
-    (fixed ``w``, ``l``); ``vto``/``kp`` optionally carry per-sample
-    statistical perturbations of the model card (already
-    temperature-adjusted, i.e. what ``MosModel.perturbed`` would have
-    produced per sample).  Every arithmetic step mirrors the scalar
-    function operation-for-operation, so each slice of the result is
-    bitwise identical to the corresponding scalar call — the property
-    the sample-batched Newton engine's parity guarantee rests on.
-
-    Returns a dict of arrays: ``ids, gm, gds, gmb, vth, vdsat, vov,
-    region`` (integer codes indexing :data:`REGION_NAMES`).
+    ``vgs``/``vds``/``vbs`` are per-sample arrays for one device (fixed
+    ``w``, ``l``); ``vto``/``kp`` optionally carry per-sample statistical
+    perturbations of the model card (already temperature-adjusted, i.e.
+    what ``MosModel.perturbed`` would have produced per sample).
     """
     vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    vbs = np.asarray(vbs, dtype=float)
-    vto_arr = np.full_like(vgs, model.vto) if vto is None \
-        else np.asarray(vto, dtype=float)
-    kp_arr = np.full_like(vgs, model.kp) if kp is None \
-        else np.asarray(kp, dtype=float)
-
-    # --- threshold with body effect -------------------------------------
-    vto_eff = model.polarity * vto_arr
-    phi = model.phi
-    arg = phi - vbs
-    arg_min = 0.05
-    sq = math.sqrt(arg_min)
-    clamped = arg < arg_min
-    sqrt_term = np.empty_like(arg)
-    dsq_darg = np.empty_like(arg)
-    # Quadratic clamp branch (value and slope continuous at arg_min).
-    c_slope = 0.5 / sq
-    lin = sq + c_slope * (arg[clamped] - arg_min)
-    floor = lin < 0.5 * sq
-    d_c = np.full(lin.shape, c_slope)
-    lin[floor] = 0.5 * sq
-    d_c[floor] = 0.0
-    sqrt_term[clamped] = lin
-    dsq_darg[clamped] = d_c
-    ok = ~clamped
-    root = np.sqrt(arg[ok])
-    sqrt_term[ok] = root
-    dsq_darg[ok] = 0.5 / root
-    vth = vto_eff + model.gamma * (sqrt_term - math.sqrt(phi))
-    dvth_dvbs = -model.gamma * dsq_darg
-
-    # --- smoothed overdrive ---------------------------------------------
-    vov_raw = vgs - vth
-    vov, dvov = softplus_batch(vov_raw, model.smoothing)
-
-    # --- channel-length modulation ---------------------------------------
-    lam = model.lambda_ / (l * 1e6)
-    beta = kp_arr * (w / l)
-    clm = 1.0 + lam * vds
-
-    vdsat = vov
-    sat = vds >= vdsat
-    tri = ~sat
-    ids = np.empty_like(vgs)
-    dids_dvov = np.empty_like(vgs)
-    gds = np.empty_like(vgs)
-    # Saturation: ids = beta/2 * vov^2 * (1 + lam*vds)
-    b_s, v_s, c_s = beta[sat], vov[sat], clm[sat]
-    ids[sat] = 0.5 * b_s * v_s * v_s * c_s
-    dids_dvov[sat] = b_s * v_s * c_s
-    gds[sat] = 0.5 * b_s * v_s * v_s * lam
-    # Triode: ids = beta * (vov - vds/2) * vds * (1 + lam*vds)
-    b_t, v_t, d_t, c_t = beta[tri], vov[tri], vds[tri], clm[tri]
-    ids[tri] = b_t * (v_t - 0.5 * d_t) * d_t * c_t
-    dids_dvov[tri] = b_t * d_t * c_t
-    gds[tri] = b_t * ((v_t - d_t) * c_t + (v_t - 0.5 * d_t) * d_t * lam)
-
-    region = np.where(vov_raw > 0,
-                      np.where(sat, REGION_SATURATION, REGION_TRIODE),
-                      REGION_CUTOFF)
-
-    gm = dids_dvov * dvov
-    gmb = dids_dvov * dvov * (-dvth_dvbs)
-
-    return {
-        "ids": ids, "gm": gm, "gds": gds, "gmb": gmb,
-        "vth": vth, "vdsat": vdsat, "vov": vov_raw, "region": region,
-    }
+    return evaluate_nmos_stacked(
+        model.phi, model.gamma, model.smoothing, model.lambda_ / (l * 1e6),
+        w / l, model.polarity * np.full_like(
+            vgs, model.vto if vto is None else vto),
+        np.full_like(vgs, model.kp if kp is None else kp), vgs,
+        np.asarray(vds, dtype=float), np.asarray(vbs, dtype=float))
 
 
 def evaluate_nmos_stacked(
@@ -361,18 +271,22 @@ def evaluate_nmos_stacked(
     vds: np.ndarray,
     vbs: np.ndarray,
 ) -> dict:
-    """:func:`evaluate_nmos_batch` over a ``(samples, devices)`` plane.
+    """Vectorized :func:`evaluate_nmos` over a ``(samples, devices)`` plane.
 
     One call covers every transistor of a sample-batched Newton
-    iteration instead of one call per device: the per-device model-card
-    scalars arrive as ``(devices,)`` rows (``lam`` and ``w_over_l``
-    pre-divided with the exact scalar expressions ``lambda_ / (l * 1e6)``
-    and ``w / l``; ``vto_eff`` already polarity-reflected and combined
-    with the per-sample threshold shifts) and broadcast against the
-    ``(samples, devices)`` voltage matrices.  Every operation is
-    elementwise, so each entry is bitwise identical to the per-device
-    :func:`evaluate_nmos_batch` call — the stacking changes only the
-    array shapes the ufuncs see, never the per-element arithmetic.
+    iteration: the per-device model-card scalars arrive as
+    ``(devices,)`` rows (``lam`` and ``w_over_l`` pre-divided with the
+    exact scalar expressions ``lambda_ / (l * 1e6)`` and ``w / l``;
+    ``vto_eff`` already polarity-reflected and combined with the
+    per-sample threshold shifts) and broadcast against the
+    ``(samples, devices)`` voltage matrices.  Every arithmetic step
+    mirrors the scalar function operation-for-operation, so each entry
+    is bitwise identical to the scalar call on that device's perturbed
+    card — the property the sample-batched Newton engine's parity
+    guarantee rests on.
+
+    Returns a dict of arrays: ``ids, gm, gds, gmb, vth, vdsat, vov,
+    region`` (integer codes indexing :data:`REGION_NAMES`).
     """
     # --- threshold with body effect -------------------------------------
     arg = phi - vbs
@@ -450,31 +364,10 @@ def evaluate_nmos_stacked(
     }
 
 
-def intrinsic_capacitances_batch(
-    model: MosModel, w: float, l: float, region: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Vectorized :func:`intrinsic_capacitances` over integer region
-    codes; elementwise identical to the scalar version (the per-region
-    values are sample-independent constants)."""
-    c_channel = model.cox * w * l
-    cgs_by_region = np.array([
-        (2.0 / 3.0) * c_channel + model.cgso * w,
-        0.5 * c_channel + model.cgso * w,
-        model.cgso * w,
-    ])
-    cgd_by_region = np.array([
-        model.cgdo * w,
-        0.5 * c_channel + model.cgdo * w,
-        model.cgdo * w,
-    ])
-    cj_area = model.cj * w * model.ldif
-    return cgs_by_region[region], cgd_by_region[region], cj_area, cj_area
-
-
-def intrinsic_capacitances(
-    model: MosModel, w: float, l: float, region: str
-) -> tuple[float, float, float, float]:
-    """Return ``(cgs, cgd, cdb, csb)`` for the given operating region.
+def _capacitance_table(model: MosModel, w: float, l: float
+                       ) -> tuple[tuple[float, float, float, float], ...]:
+    """``(cgs, cgd, cdb, csb)`` of each operating region, indexed by the
+    region codes of :data:`REGION_NAMES`.
 
     The Meyer partition is used: in saturation the channel charge is
     assigned 2/3 to the source; in triode it splits evenly; in cutoff only
@@ -483,14 +376,29 @@ def intrinsic_capacitances(
     this library extracts.
     """
     c_channel = model.cox * w * l
-    if region == "saturation":
-        cgs = (2.0 / 3.0) * c_channel + model.cgso * w
-        cgd = model.cgdo * w
-    elif region == "triode":
-        cgs = 0.5 * c_channel + model.cgso * w
-        cgd = 0.5 * c_channel + model.cgdo * w
-    else:  # cutoff
-        cgs = model.cgso * w
-        cgd = model.cgdo * w
+    cgs_overlap = model.cgso * w
+    cgd_overlap = model.cgdo * w
     cj_area = model.cj * w * model.ldif
-    return cgs, cgd, cj_area, cj_area
+    return (
+        ((2.0 / 3.0) * c_channel + cgs_overlap, cgd_overlap, cj_area, cj_area),
+        (0.5 * c_channel + cgs_overlap, 0.5 * c_channel + cgd_overlap,
+         cj_area, cj_area),
+        (cgs_overlap, cgd_overlap, cj_area, cj_area),
+    )
+
+
+def intrinsic_capacitances(
+    model: MosModel, w: float, l: float, region: str
+) -> tuple[float, float, float, float]:
+    """Return ``(cgs, cgd, cdb, csb)`` for the named operating region
+    (see :func:`_capacitance_table`)."""
+    return _capacitance_table(model, w, l)[REGION_NAMES.index(region)]
+
+
+def intrinsic_capacitances_batch(
+    model: MosModel, w: float, l: float, region: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Vectorized :func:`intrinsic_capacitances` over integer region
+    codes, read from the same per-region table."""
+    table = np.array(_capacitance_table(model, w, l))
+    return table[region, 0], table[region, 1], table[0, 2], table[0, 3]

@@ -88,9 +88,6 @@ class OptimizerConfig:
     #: searches, the gradient probes and the verification Monte-Carlo.
     #: Results are bit-identical to a serial run.
     jobs: int = 1
-    #: per-task wait budget of the shared pool, seconds (None = forever);
-    #: a timed-out task kills the pool and the run degrades to serial
-    task_timeout_s: Optional[float] = None
     #: run only this shard of every verification Monte-Carlo (one
     #: machine of a ``ShardPlan(i, k)`` fleet); the per-iteration
     #: results carry shard provenance and merge exactly with the other
@@ -362,8 +359,7 @@ class YieldOptimizer:
         # evaluation stack is not worker-replicable); results are
         # bit-identical either way.
         from ..yieldsim import PoolHandle
-        pool = PoolHandle.for_evaluator(
-            guarded, config.jobs, task_timeout_s=config.task_timeout_s)
+        pool = PoolHandle.for_evaluator(guarded, config.jobs)
         self.verifier.pool = pool
         try:
             return self._run_loop(pool, start_time, wall_offset)

@@ -92,51 +92,31 @@ class FaultTolerantEvaluator:
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
                  theta: Mapping[str, float]) -> Dict[str, float]:
-        retry = self.policy.retry
-        attempt = 0
-        failed_before = False
-        point = np.asarray(s_hat, dtype=float)
-        while True:
-            try:
-                values = self._inner.evaluate(d, point, theta)
-                if failed_before:
-                    self.recovered_evaluations += 1
-                return values
-            except Exception as exc:
-                action = self.policy.classify(exc)
-                if action is FaultAction.ABORT:
-                    raise
-                failed_before = True
-                if action is FaultAction.RETRY and attempt < retry.attempts:
-                    self.retried_evaluations += 1
-                    point = self.policy.jittered(d, s_hat, theta, attempt)
-                    attempt += 1
-                    continue
-                # COUNT_AS_FAIL, or RETRY with the attempt budget spent.
-                self.failed_evaluations += 1
-                if self.fail_mode == MODE_RAISE:
-                    raise
-                return self._failure_values()
+        try:
+            return self._inner.evaluate(d, np.asarray(s_hat, dtype=float),
+                                        theta)
+        except Exception as exc:
+            error = exc
+        # Outside the handler, so a retry's error is not chained to it.
+        return self.resume_after_failure(d, s_hat, theta, error)
 
     def resume_after_failure(self, d: Mapping[str, float],
                              s_hat: np.ndarray,
                              theta: Mapping[str, float],
                              error: BaseException) -> Dict[str, float]:
-        """Continue the policy loop of :meth:`evaluate` after the first
-        attempt already failed with ``error`` elsewhere.
+        """The fault policy after a first attempt failed with ``error``:
+        classify, retry at jittered points, count, and return the values,
+        NaN performances (lenient) or raise (strict).
 
-        The batched engine evaluates first attempts in bulk; a sample
-        whose attempt raised is handed here, and this method replicates
-        the tail of :meth:`evaluate` exactly — same classification,
-        same jittered retry points (the jitter is a deterministic
-        function of ``(d, s_hat, theta, attempt)``), same counter
-        updates — so a batched run's fault handling is bit- and
-        counter-identical to the serial run's.
+        :meth:`evaluate` hands its own failed first attempt here, and the
+        batched engine, which evaluates first attempts in bulk, hands
+        each sample whose attempt raised.  The jitter is a deterministic
+        function of ``(d, s_hat, theta, attempt)``, so a batched run's
+        fault handling is bit- and counter-identical to the serial run's.
         """
         retry = self.policy.retry
         attempt = 0
         exc: BaseException = error
-        point = np.asarray(s_hat, dtype=float)
         while True:
             action = self.policy.classify(exc)
             if action is FaultAction.ABORT:

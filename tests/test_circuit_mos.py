@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.mos import (DEFAULT_SMOOTHING_V, MosModel, evaluate_nmos,
-                               intrinsic_capacitances, _softplus)
+from repro.circuit.mos import (DEFAULT_SMOOTHING_V, REGION_NAMES, MosModel,
+                               evaluate_nmos, evaluate_nmos_batch,
+                               evaluate_nmos_stacked, intrinsic_capacitances,
+                               intrinsic_capacitances_batch, _softplus)
 from repro.pdk.generic035 import NMOS, PMOS
 
 W, L = 10e-6, 1e-6
@@ -182,3 +185,114 @@ class TestCapacitances:
         small = intrinsic_capacitances(NMOS, W, L, "saturation")[0]
         large = intrinsic_capacitances(NMOS, 2 * W, L, "saturation")[0]
         assert large > small
+
+
+#: the ``evaluate_nmos`` outputs the vectorized forms return as arrays
+MOS_FIELDS = ("ids", "gm", "gds", "gmb", "vth", "vdsat", "vov")
+
+
+def assert_bitwise(actual, expected):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+@st.composite
+def device_planes(draw):
+    """A ``(samples, devices)`` plane: per device a ``generic035`` card
+    at one of three temperatures with its geometry, per element the
+    terminal voltages (``vds >= 0``, as the caller guarantees) and the
+    statistical ``delta_vto``/``beta_factor``.  The gate voltage is
+    drawn as an overdrive over the element's own threshold, often
+    within 0.2 V of it, so both softplus cutoffs (``|vov| = 35 *
+    smoothing = 0.14 V``) are crossed."""
+    temp = draw(st.sampled_from((-40.0, 27.0, 125.0)))
+    n_samples = draw(st.integers(1, 4))
+    devices = [(draw(st.sampled_from((NMOS, PMOS))).at_temperature(temp),
+                draw(st.floats(0.5e-6, 200e-6)),
+                draw(st.floats(0.35e-6, 10e-6)))
+               for _ in range(draw(st.integers(1, 4)))]
+
+    def plane(values):
+        return np.array([[draw(values) for _ in devices]
+                         for _ in range(n_samples)])
+
+    vds = plane(st.floats(0.0, 3.3))
+    vbs = plane(st.floats(-3.3, 1.5))
+    dvto = plane(st.floats(-0.1, 0.1))
+    beta = plane(st.floats(0.8, 1.2))
+    vov = plane(st.one_of(st.floats(-0.2, 0.2), st.floats(-1.0, 3.0)))
+    vgs = np.array([[
+        evaluate_nmos(card.perturbed(dvto[s, d], beta[s, d]), w, l, 0.0,
+                      0.0, vbs[s, d]).vth + vov[s, d]
+        for d, (card, w, l) in enumerate(devices)]
+        for s in range(n_samples)])
+    return devices, [vgs, vds, vbs, dvto, beta]
+
+
+#: one plane reaching every branch: overdrive beyond both softplus
+#: cutoffs (|t| > 35) and inside them on either side of zero,
+#: saturation, triode and cutoff, and forward body bias on the linear
+#: clamp (vbs 0.66, 0.68) and on its floor (vbs 1.0, 1.2)
+BRANCH_PLANE = (
+    [(NMOS, 10e-6, 1e-6), (PMOS.at_temperature(125.0), 20e-6, 2e-6)],
+    [np.array([[2.0, 2.5], [0.45, 0.0], [0.52, 0.36], [1.0, 1.5]]),
+     np.array([[3.0, 0.1], [1.0, 2.0], [0.0, 0.0], [0.05, 3.0]]),
+     np.array([[0.0, -1.0], [0.0, 0.0], [0.68, 0.66], [1.2, 1.0]]),
+     np.array([[0.0, 0.02], [-0.01, 0.0], [0.0, 0.03], [0.05, -0.05]]),
+     np.array([[1.0, 0.9], [1.1, 1.0], [1.0, 0.95], [1.05, 1.2]])])
+
+
+class TestVectorizedModel:
+    """The vectorized level-1 model is the scalar one, bit for bit: the
+    sample-batched engine's parity rests on it."""
+
+    @given(plane=device_planes())
+    @example(plane=BRANCH_PLANE)
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_and_batch_equal_scalar_bitwise(self, plane):
+        devices, (vgs, vds, vbs, dvto, beta) = plane
+        pol = np.array([float(card.polarity) for card, _, _ in devices])
+        vto = np.array([card.vto for card, _, _ in devices]) + pol * dvto
+        kp = np.array([card.kp for card, _, _ in devices]) * beta
+        stacked = evaluate_nmos_stacked(
+            np.array([card.phi for card, _, _ in devices]),
+            np.array([card.gamma for card, _, _ in devices]),
+            np.array([card.smoothing for card, _, _ in devices]),
+            np.array([card.lambda_ / (l * 1e6) for card, _, l in devices]),
+            np.array([w / l for _, w, l in devices]),
+            pol * vto, kp, vgs, vds, vbs)
+        for d, (card, w, l) in enumerate(devices):
+            batch = evaluate_nmos_batch(card, w, l, vgs[:, d], vds[:, d],
+                                        vbs[:, d], vto=vto[:, d],
+                                        kp=kp[:, d])
+            nominal = evaluate_nmos_batch(card, w, l, vgs[:, d], vds[:, d],
+                                          vbs[:, d])
+            for s in range(vgs.shape[0]):
+                args = (w, l, vgs[s, d], vds[s, d], vbs[s, d])
+                ref = evaluate_nmos(card.perturbed(dvto[s, d], beta[s, d]),
+                                    *args)
+                ref_nominal = evaluate_nmos(card, *args)
+                for name in MOS_FIELDS:
+                    assert_bitwise(stacked[name][s, d], getattr(ref, name))
+                    assert_bitwise(batch[name][s], getattr(ref, name))
+                    assert_bitwise(nominal[name][s],
+                                   getattr(ref_nominal, name))
+                assert REGION_NAMES[stacked["region"][s, d]] == ref.region
+                assert REGION_NAMES[batch["region"][s]] == ref.region
+                assert REGION_NAMES[nominal["region"][s]] \
+                    == ref_nominal.region
+
+    @given(card=st.sampled_from((NMOS, PMOS)),
+           temp=st.sampled_from((-40.0, 27.0, 125.0)),
+           w=st.floats(0.5e-6, 200e-6), l=st.floats(0.35e-6, 10e-6))
+    @settings(max_examples=40, deadline=None)
+    def test_capacitances_batch_equal_scalar_in_each_region(self, card,
+                                                            temp, w, l):
+        card = card.at_temperature(temp)
+        codes = np.array([2, 0, 1, 1, 0, 2])
+        cgs, cgd, cdb, csb = intrinsic_capacitances_batch(card, w, l, codes)
+        for i, code in enumerate(codes):
+            ref = intrinsic_capacitances(card, w, l, REGION_NAMES[code])
+            assert_bitwise([cgs[i], cgd[i], cdb, csb], ref)

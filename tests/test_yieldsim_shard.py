@@ -11,6 +11,10 @@ sums to float tolerance).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,7 +472,77 @@ class TestCheckpointSplice:
             splice_merged_result(str(wrong), merged)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: the ``yield`` run the process tests shard and merge
+YIELD_ARGS = ["yield", "ota", "--estimator", "qmc", "--samples", "64",
+              "--seed", "3"]
+
+
+def run_repro(args, hash_seed, cwd):
+    """``python -m repro ARGS`` in a fresh interpreter under a fixed
+    ``PYTHONHASHSEED``; returns its stdout."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "repro", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def process_runs(tmp_path_factory):
+    """The unsharded ``yield --json`` baseline under hash seeds 1 and 2,
+    its two ``--shard`` runs under seeds 3 and 4 and their
+    ``merge-verify`` under seed 5, each in its own interpreter."""
+    tmp = tmp_path_factory.mktemp("processes")
+    baselines = [run_repro(YIELD_ARGS + ["--json"], seed, tmp)
+                 for seed in (1, 2)]
+    shard_outputs = [
+        run_repro(YIELD_ARGS + ["--shard", f"{index}/2",
+                                "--out", f"shard{index}.json"], seed, tmp)
+        for index, seed in ((1, 3), (2, 4))]
+    merge_output = run_repro(["merge-verify", "shard1.json", "shard2.json",
+                              "--out", "merged.json"], 5, tmp)
+    with open(tmp / "merged.json") as handle:
+        merged = json.load(handle)
+    return baselines, shard_outputs, merge_output, merged
+
+
 class TestCli:
+    def test_yield_json_is_independent_of_the_hash_seed(self, process_runs):
+        """Compared as text, so a key order that follows the hash seed
+        (e.g. of ``report.dc_effort``) fails; only the wall-clock fields
+        may differ."""
+        texts = []
+        for output in process_runs[0]:
+            result = json.loads(output)
+            del result["report"]["phase_seconds"]
+            del result["report"]["wall_time_s"]
+            texts.append(json.dumps(result, indent=2))
+        assert texts[0] == texts[1]
+
+    def test_shard_merge_across_processes_matches_unsharded(
+            self, process_runs):
+        baselines, shard_outputs, merge_output, artifact = process_runs
+        base = json.loads(baselines[0])
+        for index, output in enumerate(shard_outputs, start=1):
+            assert f"shard {index}/2" in output
+        assert "Merged verification (2 of 2 shard(s)" in merge_output
+        assert artifact["schema_version"] == 1
+        assert artifact["kind"] == "merged-yield-result"
+        assert artifact["provenance"]["template"] == "ota"
+        assert artifact["provenance"]["shards"] == 2
+        merged = artifact["result"]
+        for key in ("estimate", "ci_low", "ci_high", "ci_level", "ess",
+                    "n_samples", "simulations", "failed_samples",
+                    "bad_fraction"):
+            assert merged[key] == base[key], key
+        assert merged["merged_from"] == 2
+        for key in ("n_samples", "simulations"):
+            assert merged["report"][key] == base["report"][key], key
+
     def test_yield_shard_merge_matches_unsharded(self, tmp_path, capsys):
         from repro.cli import main
         common = ["yield", "ota", "--estimator", "qmc", "--samples", "16",
