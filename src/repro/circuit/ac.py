@@ -108,6 +108,14 @@ class AcSystem:
         """Solve for the full phasor vector at ``freq`` [Hz]."""
         return self._engine.solve(2.0 * math.pi * freq)
 
+    @property
+    def factors_per_frequency(self) -> bool:
+        """True on the sparse engine, which re-factors per frequency:
+        a batch of frequencies costs what solving them one at a time
+        does, so a search gains by stopping early.  The dense engine
+        solves a batch in one broadcast LAPACK call."""
+        return self._backend.name == "sparse"
+
     def solve_many(self, freqs: Sequence[float]) -> np.ndarray:
         """Phasor vectors at every frequency in ``freqs``, shape
         ``(F, size)``.
@@ -220,8 +228,10 @@ def shared_matrix_transfers(systems: Sequence[AcSystem], node: str,
 
 #: Interior points per refinement round of the unity-gain search.  Each
 #: round shrinks the bracket by ``SECTION_POINTS + 1``x with *one* batched
-#: solve.  The stacked solve's cost is nearly proportional to the *total*
-#: point count (the per-round overhead is tiny), so the sweet spot
+#: solve on the dense engine (the sparse engine evaluates the points left
+#: to right and stops at the first one at or below unity).  The stacked
+#: solve's cost is nearly proportional to the *total* point count (the
+#: per-round overhead is tiny), so the sweet spot
 #: minimizes ``P / log(P + 1)``: measured on the folded-cascode bench,
 #: ``P = 4`` (~13 rounds, 52 stacked solves) beats both classic bisection
 #: (``SECTION_POINTS = 1``, kept as the benchmark's legacy mode, ~31
@@ -235,10 +245,14 @@ def unity_gain_frequency(system: AcSystem, node: str,
     """Locate the unity-gain crossing |H(f)| = 1 on log f.
 
     Multi-section refinement: each round evaluates
-    :data:`SECTION_POINTS` interior frequencies with one batched solve
-    and re-brackets around the first crossing from above.  With
-    ``SECTION_POINTS = 1`` this reduces exactly to classic bisection
-    (same bracket updates, same result).
+    :data:`SECTION_POINTS` interior frequencies and re-brackets around
+    the first crossing from above.  The dense engine evaluates them with
+    one batched solve; a system that factors per frequency evaluates
+    them left to right and stops at the first one at or below unity —
+    the only points the next bracket reads — which gives the same
+    bracket with fewer factorizations.  With ``SECTION_POINTS = 1`` this
+    reduces exactly to classic bisection (same bracket updates, same
+    result).
 
     Requires |H(f_lo)| > 1 > |H(f_hi)|; raises :class:`ExtractionError`
     otherwise (e.g. a dead circuit whose gain never exceeds one).
@@ -254,16 +268,29 @@ def unity_gain_frequency(system: AcSystem, node: str,
     lo, hi = math.log10(f_lo), math.log10(f_hi)
     while hi - lo > tol:
         grid = np.linspace(lo, hi, SECTION_POINTS + 2)[1:-1]
-        mags = np.abs(system.transfer_many(node, 10.0 ** grid))
-        below = np.nonzero(mags <= 1.0)[0]
-        if below.size == 0:
+        j = _first_at_or_below_unity(system, node, 10.0 ** grid)
+        if j is None:
             lo = float(grid[-1])
         else:
-            j = int(below[0])
             hi = float(grid[j])
             if j > 0:
                 lo = float(grid[j - 1])
     return 10.0 ** (0.5 * (lo + hi))
+
+
+def _first_at_or_below_unity(system: AcSystem, node: str,
+                             freqs: np.ndarray) -> Optional[int]:
+    """Index of the first of ``freqs`` where ``|H| <= 1``, or None.  A
+    per-frequency-factoring system solves only up to it; each point goes
+    through the same batched call either way, so the answer is the same
+    bit for bit."""
+    if system.factors_per_frequency:
+        for j in range(len(freqs)):
+            if np.abs(system.transfer_many(node, freqs[j:j + 1]))[0] <= 1.0:
+                return j
+        return None
+    below = np.nonzero(np.abs(system.transfer_many(node, freqs)) <= 1.0)[0]
+    return int(below[0]) if below.size else None
 
 
 def refine_unity_crossing(system: AcSystem, node: str,

@@ -279,9 +279,9 @@ class SampleBatchPlan:
 
     Lifecycle: construct once per ``(d, theta)`` (verifies the builder
     and captures stamp sequences), then per chunk of samples call
-    :meth:`set_samples` followed by :meth:`solve`; the converged samples'
-    :meth:`operating_point` records and :meth:`ac_systems` small-signal
-    systems are read from the chunk's finalized arrays.
+    :meth:`set_samples` followed by :meth:`solve`; each converged
+    sample's :meth:`operating_point` reads its device records and
+    small-signal systems from the chunk's finalized arrays.
     """
 
     def __init__(self, proto: Circuit, probe: Circuit,
@@ -834,70 +834,12 @@ class SampleBatchPlan:
         ``strategy`` is the winning homotopy label from :meth:`solve`."""
         return _RowDCResult(self, k, iterations, strategy)
 
-    def ac_systems(self, k: int) -> Dict[tuple, AcSystem]:
-        """The small-signal systems of carried chunk sample ``k``, keyed by
-        drive as :class:`~repro.evaluation.measure.OpenLoopOpampBench`
-        keys them: differential ``(0.5, -0.5)`` and common-mode ``(1.0,
-        1.0)``, sharing one ``(G, B)`` (and, on the sparse backend, the
-        factorizations).
-
-        The row's ``(G, B)`` values come from the finalized arrays and go
-        through its AC swap signature's captured triplet scatter — the
-        engines' own stamp order, so the systems are bitwise the ones the
-        scalar :class:`~repro.circuit.ac.AcSystem` assembles."""
-        i = self._fin_local[k]
-        fin = self._fin
-        swaps = fin["swapped"][i]
-        spec = self._ac_spec(np.packbits(swaps).tobytes(), swaps)
-        g_vals = spec.g_const.copy()
-        if spec.g_res_slots.size:
-            g_vals[spec.g_res_slots] = \
-                spec.g_res_sign * self._res_g[k, spec.g_res_idx]
-        if spec.g_mos_slots.size:
-            qg = np.stack([fin["gm"][i], fin["gds"][i], fin["gmb"][i],
-                           fin["gsum"][i]])
-            g_vals[spec.g_mos_slots] = \
-                qg[spec.g_qty, spec.g_mos] * spec.g_sign
-        b_vals = spec.b_const.copy()
-        if spec.b_mos_slots.size:
-            qb = np.stack([fin["cgs"][i], fin["cgd"][i], self._mos_cj,
-                           self._mos_cj])
-            b_vals[spec.b_mos_slots] = \
-                qb[spec.b_qty, spec.b_mos] * spec.b_sign
-        rhs_dm = self._ac_rhs_static.copy()
-        rhs_dm[self._drive_vip] += 0.5
-        rhs_dm[self._drive_vin] += -0.5
-        rhs_cm = self._ac_rhs_static.copy()
-        rhs_cm[self._drive_vip] += 1.0
-        rhs_cm[self._drive_vin] += 1.0
-        n_g = spec.n_g
-        if self.sparse:
-            vals = np.zeros(spec.rows.size, dtype=complex)
-            vals[:n_g] = g_vals
-            g_full = spec.pattern.fill(vals)
-            vals[:] = 0.0
-            vals[n_g:] = b_vals
-            engine = SparseAcEngine.assembled(
-                self.circuit, self.layout, spec.pattern, g_full,
-                spec.pattern.fill(vals), rhs_dm)
-        else:
-            size = self.layout.size
-            g_mat = np.zeros((size, size), dtype=complex)
-            np.add.at(g_mat, (spec.rows[:n_g], spec.cols[:n_g]), g_vals)
-            b_mat = np.zeros((size, size), dtype=complex)
-            np.add.at(b_mat, (spec.rows[n_g:], spec.cols[n_g:]), b_vals)
-            engine = DenseAcEngine.assembled(self.circuit, self.layout,
-                                             g_mat, b_mat, rhs_dm)
-        return {(0.5, -0.5): AcSystem.assembled(self.circuit, self.backend,
-                                                engine),
-                (1.0, 1.0): AcSystem.assembled(self.circuit, self.backend,
-                                               engine.with_rhs(rhs_cm))}
-
 
 class _RowDCResult(DCResult):
     """:class:`DCResult` of one carried chunk sample whose device records
-    are read from the plan's finalized arrays — bitwise the records the
-    scalar ``operating_points`` computes.  The arrays are captured at
+    and small-signal systems (:meth:`ac_systems`) are read from the
+    plan's finalized arrays — bitwise the records the scalar
+    ``operating_points`` computes.  The arrays are captured at
     construction, so the result stays valid after the plan moves on to
     its next chunk."""
 
@@ -909,6 +851,7 @@ class _RowDCResult(DCResult):
         self._fin = plan._fin
         self._i = plan._fin_local[k]
         self._res_r = plan._res_r[k]
+        self._res_g = plan._res_g[k]
 
     def _record(self, name: str) -> Optional[dict]:
         plan = self._plan
@@ -960,3 +903,61 @@ class _RowDCResult(DCResult):
                 if record is not None:
                     self._ops[dev.name] = record
         return self._ops
+
+    def ac_systems(self) -> Dict[tuple, AcSystem]:
+        """The row's small-signal systems, keyed by drive as
+        :class:`~repro.evaluation.measure.OpenLoopOpampBench` keys them:
+        differential ``(0.5, -0.5)`` and common-mode ``(1.0, 1.0)``,
+        sharing one ``(G, B)`` (and, on the sparse backend, the
+        factorizations).
+
+        The row's ``(G, B)`` values come from the captured arrays and go
+        through its AC swap signature's captured triplet scatter — the
+        engines' own stamp order, so the systems are bitwise the ones the
+        scalar :class:`~repro.circuit.ac.AcSystem` assembles."""
+        plan, fin, i = self._plan, self._fin, self._i
+        swaps = fin["swapped"][i]
+        spec = plan._ac_spec(np.packbits(swaps).tobytes(), swaps)
+        g_vals = spec.g_const.copy()
+        if spec.g_res_slots.size:
+            g_vals[spec.g_res_slots] = \
+                spec.g_res_sign * self._res_g[spec.g_res_idx]
+        if spec.g_mos_slots.size:
+            qg = np.stack([fin["gm"][i], fin["gds"][i], fin["gmb"][i],
+                           fin["gsum"][i]])
+            g_vals[spec.g_mos_slots] = \
+                qg[spec.g_qty, spec.g_mos] * spec.g_sign
+        b_vals = spec.b_const.copy()
+        if spec.b_mos_slots.size:
+            qb = np.stack([fin["cgs"][i], fin["cgd"][i], plan._mos_cj,
+                           plan._mos_cj])
+            b_vals[spec.b_mos_slots] = \
+                qb[spec.b_qty, spec.b_mos] * spec.b_sign
+        rhs_dm = plan._ac_rhs_static.copy()
+        rhs_dm[plan._drive_vip] += 0.5
+        rhs_dm[plan._drive_vin] += -0.5
+        rhs_cm = plan._ac_rhs_static.copy()
+        rhs_cm[plan._drive_vip] += 1.0
+        rhs_cm[plan._drive_vin] += 1.0
+        n_g = spec.n_g
+        if plan.sparse:
+            vals = np.zeros(spec.rows.size, dtype=complex)
+            vals[:n_g] = g_vals
+            g_full = spec.pattern.fill(vals)
+            vals[:] = 0.0
+            vals[n_g:] = b_vals
+            engine = SparseAcEngine.assembled(
+                plan.circuit, plan.layout, spec.pattern, g_full,
+                spec.pattern.fill(vals), rhs_dm)
+        else:
+            size = plan.layout.size
+            g_mat = np.zeros((size, size), dtype=complex)
+            np.add.at(g_mat, (spec.rows[:n_g], spec.cols[:n_g]), g_vals)
+            b_mat = np.zeros((size, size), dtype=complex)
+            np.add.at(b_mat, (spec.rows[n_g:], spec.cols[n_g:]), b_vals)
+            engine = DenseAcEngine.assembled(plan.circuit, plan.layout,
+                                             g_mat, b_mat, rhs_dm)
+        return {(0.5, -0.5): AcSystem.assembled(plan.circuit, plan.backend,
+                                                engine),
+                (1.0, 1.0): AcSystem.assembled(plan.circuit, plan.backend,
+                                               engine.with_rhs(rhs_cm))}

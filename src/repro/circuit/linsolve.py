@@ -48,7 +48,7 @@ from scipy.sparse.linalg import splu
 
 try:  # private SuperLU entry point backing scipy.sparse.linalg.splu
     from scipy.sparse.linalg._dsolve import _superlu as _superlu_mod
-except ImportError:  # pragma: no cover - older/newer scipy layout
+except ImportError:  # older/newer scipy layout
     _superlu_mod = None
 
 from ..errors import ReproError, SingularMatrixError

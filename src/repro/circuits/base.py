@@ -5,10 +5,13 @@ follow the same evaluation recipe:
 
 * build the transistor-level netlist at ``(d, s, theta)`` with the
   open-loop measurement bench attached,
-* one DC solve + AC measurements give A0, f_t, PM, CMRR and power,
-* slew rate comes from the bias currents and compensation/load capacitance
-  (first-order estimate; validated against the transient engine in the
-  test suite),
+* one DC solve gives power and the slew rate (from the bias currents and
+  the compensation/load capacitance: a first-order estimate, validated
+  against the transient engine in the test suite),
+* AC measurements give A0 and CMRR (one 1 Hz solve) and f_t and PM (the
+  unity-gain search); each runs only when a requested performance needs
+  it, so an evaluation for operating-point values alone assembles no AC
+  system,
 * the functional constraints c(d) >= 0 (Sec. 5.1) are *electrical sizing
   rules* evaluated at the nominal statistical point: every analog
   transistor must conduct (overdrive above a margin) and sit in saturation
@@ -26,7 +29,7 @@ import collections
 import functools
 import logging
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,8 +166,12 @@ class OpampTemplate(CircuitTemplate):
 
     @abc.abstractmethod
     def extract(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
-                theta: Mapping[str, float]) -> Dict[str, float]:
-        """Map bench measurements to the declared performances."""
+                theta: Mapping[str, float],
+                performances: Optional[Collection[str]] = None
+                ) -> Dict[str, float]:
+        """Map bench measurements to the requested performances
+        (``None``: all declared ones), measuring only what they need
+        (:func:`~repro.evaluation.template.measure_requested`)."""
 
     # -- CircuitTemplate implementation ------------------------------------------
     def _bench(self, d: Mapping[str, float], s_hat: np.ndarray,
@@ -371,22 +378,33 @@ class OpampTemplate(CircuitTemplate):
                    getattr(self, "name", type(self).__name__), exc)
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float]) -> Dict[str, float]:
-        """Simulate and extract; a failed testbench yields spec-violating
-        sentinel values rather than an exception — a manufactured circuit
-        that cannot be measured (no gain crossing, and in pathological
-        design corners not even a DC solution) is a yield loss, not a
-        tool crash."""
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]] = None
+                 ) -> Dict[str, float]:
+        """Simulate and extract the requested performances; a failed
+        measurement yields spec-violating sentinel values for them
+        rather than an exception — a manufactured circuit that cannot be
+        measured (no gain crossing, and in pathological design corners
+        not even a DC solution) is a yield loss, not a tool crash.  Only
+        the requested performances are voided: a row whose f_t search
+        fails keeps the values of a request that needs no f_t."""
         bench = self._bench(d, s_hat, theta)
         try:
-            return self.extract(bench, d, theta)
+            return self.extract(bench, d, theta, performances)
         except (AnalysisError, ExtractionError):
-            return {p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
-                    for p in self.performances}
+            return self._dead_values(performances)
+
+    def _dead_values(self, performances: Optional[Collection[str]]
+                     ) -> Dict[str, float]:
+        """The dead-circuit sentinels of the requested performances."""
+        return {name: DEAD_CIRCUIT_PERFORMANCES.get(name, 0.0)
+                for name in self.requested_performances(performances)}
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
-                       theta: Mapping[str, float]) -> list:
+                       theta: Mapping[str, float],
+                       performances: Optional[Collection[str]] = None
+                       ) -> list:
         """Sample-batched evaluation: one vectorized lockstep homotopy
         chain per chunk of :data:`DEFAULT_BATCH_SAMPLES` statistical
         rows, bitwise identical to the serial loop.
@@ -396,9 +414,10 @@ class OpampTemplate(CircuitTemplate):
         chain (cold Newton, gmin stepping, source stepping) instead of
         serializing the chunk; with ``warm_dc`` off the whole chunk
         starts at the cold stage, matching the serial ``solve_dc`` with
-        no ``x0``.  ``extract`` then measures each carried row with the
-        scalar code on an :class:`~repro.evaluation.measure.AssembledBench`,
-        whose operating point and AC systems are read from the plan's
+        no ``x0``.  ``extract`` then measures each carried row for
+        ``performances`` with the scalar code on an
+        :class:`~repro.evaluation.measure.AssembledBench`, whose operating
+        point and (on first use) AC systems are read from the plan's
         arrays.  Any row the plan cannot carry — no warm anchor,
         non-finite warm start, singular matrix, exhausted chain — is
         re-run through the exact serial body, so results *and* fault
@@ -406,12 +425,12 @@ class OpampTemplate(CircuitTemplate):
         single row runs the serial loop.
         """
         if len(rows) <= 1:
-            return super().evaluate_batch(d, rows, theta)
+            return super().evaluate_batch(d, rows, theta, performances)
         try:
             plan = self._batch_plan(d, theta)
         except (BatchUnsupported, ReproError) as exc:
             self._log_plan_rejected(exc)
-            return super().evaluate_batch(d, rows, theta)
+            return super().evaluate_batch(d, rows, theta, performances)
         space = self.statistical_space
         size = plan.layout.size
         warm_key = self._warm_key(d, theta) if self.warm_dc else None
@@ -469,12 +488,12 @@ class OpampTemplate(CircuitTemplate):
                 k = carried.get(i)
                 if k is None:
                     entries[i] = self._serial_row(d, pv_of[i], theta,
-                                                  warm_of[i])
+                                                  warm_of[i], performances)
                     continue
                 x0, ft_hint = warm_of[i]
+                op = plan.operating_point(k, int(iters[k]), strategies[k])
                 bench = AssembledBench(
-                    plan.operating_point(k, int(iters[k]), strategies[k]),
-                    plan.ac_systems(k),
+                    op, op.ac_systems,
                     functools.partial(self.build, d, pv_of[i], theta),
                     out="out", supply_source="VDD", temp_c=theta["temp"],
                     x0=x0, ft_hint=ft_hint, linsolve=self.linsolve,
@@ -483,11 +502,9 @@ class OpampTemplate(CircuitTemplate):
                 # bench.op; the batched operating point counts here.
                 self._dc_effort.count(strategies[k])
                 try:
-                    entries[i] = self.extract(bench, d, theta)
+                    entries[i] = self.extract(bench, d, theta, performances)
                 except (AnalysisError, ExtractionError):
-                    entries[i] = {
-                        p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
-                        for p in self.performances}
+                    entries[i] = self._dead_values(performances)
                 except Exception as exc:
                     entries[i] = exc
         return entries
@@ -501,7 +518,8 @@ class OpampTemplate(CircuitTemplate):
                              for reason, count in reasons.items()))
 
     def _serial_row(self, d: Mapping[str, float], pv: PhysicalVariations,
-                    theta: Mapping[str, float], warm: tuple):
+                    theta: Mapping[str, float], warm: tuple,
+                    performances: Optional[Collection[str]]):
         """The exact serial body of :meth:`evaluate` for one row whose
         physical variations and warm anchor were already resolved (the
         anchor lookup must not be repeated — counter parity)."""
@@ -515,10 +533,9 @@ class OpampTemplate(CircuitTemplate):
         except Exception as exc:
             return exc
         try:
-            return self.extract(bench, d, theta)
+            return self.extract(bench, d, theta, performances)
         except (AnalysisError, ExtractionError):
-            return {p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
-                    for p in self.performances}
+            return self._dead_values(performances)
         except Exception as exc:
             return exc
 

@@ -24,11 +24,11 @@ paper: A0 > 80 dB, ft > 1.3 MHz, PM > 60 deg, SR > 3 V/us, Power < 1.3 mW.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping
+from typing import Collection, Dict, Mapping, Optional
 
 from ..circuit.netlist import Circuit
 from ..evaluation.measure import OpenLoopOpampBench, add_openloop_bench
-from ..evaluation.template import DesignParameter
+from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
@@ -148,15 +148,14 @@ class MillerOpamp(OpampTemplate):
 
     # -- extraction ----------------------------------------------------------------
     def extract(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
-                theta: Mapping[str, float]) -> Dict[str, float]:
-        vdd = theta["vdd"]
-        meas = bench.measure(vdd, with_pm=True)
-        i5 = abs(bench.op.op("M5")["ids"])
-        sr = i5 / d["cc"]  # positive slew: CC charged by the tail current
-        return {
-            "a0": meas.a0_db,
-            "ft": meas.ft_hz / 1e6,
-            "pm": meas.pm_deg,
-            "sr": sr / 1e6,
-            "power": meas.power_w * 1e3,
-        }
+                theta: Mapping[str, float],
+                performances: Optional[Collection[str]] = None
+                ) -> Dict[str, float]:
+        return measure_requested(performances, {
+            "a0": bench.a0_db,
+            "ft": lambda: bench.ft_hz() / 1e6,
+            "pm": bench.pm_deg,
+            # positive slew: CC charged by the tail current
+            "sr": lambda: abs(bench.op.op("M5")["ids"]) / d["cc"] / 1e6,
+            "power": lambda: bench.supply_power(theta["vdd"]) * 1e3,
+        })

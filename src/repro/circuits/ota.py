@@ -19,12 +19,12 @@ Both global and local variations are modelled.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..circuit.noise import input_referred_density, solve_noise
 from ..evaluation.measure import OpenLoopOpampBench, add_openloop_bench
-from ..evaluation.template import DesignParameter
+from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
@@ -137,23 +137,25 @@ class FiveTransistorOta(OpampTemplate):
         return ckt
 
     def extract(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
-                theta: Mapping[str, float]) -> Dict[str, float]:
-        vdd = theta["vdd"]
-        meas = bench.measure(vdd, with_pm=False)
-        i_tail = abs(bench.op.op("M5")["ids"])
-        sr = i_tail / LOAD_CAPACITANCE
-        adm = abs(bench.differential_gain(NOISE_FREQUENCY))
-        noise = solve_noise(bench.circuit, bench.op, "out",
-                            [NOISE_FREQUENCY], temp_c=theta["temp"])
-        input_density = input_referred_density(noise, adm)[0]
-        return {
-            "a0": meas.a0_db,
-            "ft": meas.ft_hz / 1e6,
-            "cmrr": meas.cmrr_db,
-            "sr": sr / 1e6,
-            "power": meas.power_w * 1e3,
-            "noise": math.sqrt(input_density) * 1e9,
-        }
+                theta: Mapping[str, float],
+                performances: Optional[Collection[str]] = None
+                ) -> Dict[str, float]:
+        def noise() -> float:
+            adm = abs(bench.differential_gain(NOISE_FREQUENCY))
+            result = solve_noise(bench.circuit, bench.op, "out",
+                                 [NOISE_FREQUENCY], temp_c=theta["temp"])
+            input_density = input_referred_density(result, adm)[0]
+            return math.sqrt(input_density) * 1e9
+
+        return measure_requested(performances, {
+            "a0": bench.a0_db,
+            "ft": lambda: bench.ft_hz() / 1e6,
+            "cmrr": bench.cmrr_db,
+            "sr": lambda: abs(bench.op.op("M5")["ids"])
+            / LOAD_CAPACITANCE / 1e6,
+            "power": lambda: bench.supply_power(theta["vdd"]) * 1e3,
+            "noise": noise,
+        })
 
     def local_vth_names(self) -> List[str]:
         """Names of the local threshold parameters."""

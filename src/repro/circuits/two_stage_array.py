@@ -42,11 +42,11 @@ Performances: ``a0`` [dB], ``ft`` [MHz], ``cmrr`` [dB], ``sr`` [V/us],
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..evaluation.measure import OpenLoopOpampBench, add_openloop_bench
-from ..evaluation.template import DesignParameter
+from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
@@ -246,18 +246,17 @@ class TwoStageArrayOpamp(OpampTemplate):
 
     # -- extraction ----------------------------------------------------------------
     def extract(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
-                theta: Mapping[str, float]) -> Dict[str, float]:
-        vdd = theta["vdd"]
-        meas = bench.measure(vdd, with_pm=False)
-        i_tail = abs(bench.op.op("M5")["ids"])
-        sr = i_tail / d["cc"]  # CC slewed by the tail current
-        return {
-            "a0": meas.a0_db,
-            "ft": meas.ft_hz / 1e6,
-            "cmrr": meas.cmrr_db,
-            "sr": sr / 1e6,
-            "power": meas.power_w * 1e3,
-        }
+                theta: Mapping[str, float],
+                performances: Optional[Collection[str]] = None
+                ) -> Dict[str, float]:
+        return measure_requested(performances, {
+            "a0": bench.a0_db,
+            "ft": lambda: bench.ft_hz() / 1e6,
+            "cmrr": bench.cmrr_db,
+            # CC slewed by the tail current
+            "sr": lambda: abs(bench.op.op("M5")["ids"]) / d["cc"] / 1e6,
+            "power": lambda: bench.supply_power(theta["vdd"]) * 1e3,
+        })
 
     # -- conveniences ----------------------------------------------------------------
     def local_vth_names(self) -> List[str]:

@@ -8,20 +8,31 @@ Wraps a :class:`~repro.evaluation.template.CircuitTemplate` and
 * memoizes results, so e.g. the repeated nominal-point evaluations of the
   worst-case search and the verification Monte-Carlo do not re-simulate.
 
+A request may name the performances it needs (the verification
+Monte-Carlo asks each worst-case corner only for the performances of the
+specs checked there).  Each cache entry records what it measured: a
+request is a hit only when its entry covers every requested performance;
+otherwise the point is simulated again for the union of the requested
+and the cached performances, which counts as one simulation and one
+miss and is logged at DEBUG.
+
 All algorithmic modules accept an :class:`Evaluator` rather than a raw
 template, so simulation accounting is automatic and consistent.
 """
 
 from __future__ import annotations
 
-import itertools
+import logging
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Tuple)
 
 import numpy as np
 
-from ..spec.specification import Spec
 from .template import CircuitTemplate
+
+_LOG = logging.getLogger(__name__)
 
 #: Mantissa scale (2^40) used for cache-key quantization: values are keyed
 #: by ``(round(mantissa * 2^40), exponent)``, i.e. rounded at a relative
@@ -42,13 +53,40 @@ def _quantize(value: float):
     return round(mantissa * _MANTISSA_SCALE), exponent
 
 
+#: What a cache entry measured: a set of performance names, or ``None``
+#: for every performance (the entry of a full evaluation).
+Measured = Optional[FrozenSet[str]]
+#: A cache entry: the values and what they cover.
+Entry = Tuple[Dict[str, float], Measured]
+
+
+def _wanted(performances: Optional[Collection[str]]) -> Measured:
+    return None if performances is None else frozenset(performances)
+
+
+def _covers(measured: Measured, wanted: Measured) -> bool:
+    """True when an entry that measured ``measured`` answers a request
+    for ``wanted`` (``None`` on either side: every performance)."""
+    return measured is None or (wanted is not None and wanted <= measured)
+
+
+def _select(values: Mapping[str, float], wanted: Measured
+            ) -> Dict[str, float]:
+    """A copy of the requested part of ``values``."""
+    if wanted is None:
+        return dict(values)
+    return {name: value for name, value in values.items() if name in wanted}
+
+
 class Evaluator:
     """Counting/caching façade over a circuit template."""
 
     def __init__(self, template: CircuitTemplate, cache: bool = True):
         self.template = template
         self.cache_enabled = cache
-        self._cache: Dict[Tuple, Dict[str, float]] = {}
+        self._cache: Dict[Tuple, Entry] = {}
+        #: cache writes collected by :meth:`recording` (None: off)
+        self._journal: Optional[List[Tuple[Tuple, Entry]]] = None
         # Key-building hot path: freeze the design-name order and the
         # operating-parameter order once instead of re-deriving (and, for
         # theta, re-sorting) them on every evaluation.
@@ -97,28 +135,57 @@ class Evaluator:
         return tuple(sorted((k, _quantize(v)) for k, v in theta.items()))
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float]) -> Dict[str, float]:
-        """All performance values at ``(d, s_hat, theta)``."""
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]] = None
+                 ) -> Dict[str, float]:
+        """The values of ``performances`` (``None``: every performance)
+        at ``(d, s_hat, theta)``; see the module docstring for the cache
+        rule."""
         self.request_count += 1
+        wanted = _wanted(performances)
         if not self.cache_enabled:
             self.simulation_count += 1
             self.cache_misses += 1
-            return self.template.evaluate(d, s_hat, theta)
+            return self.template.evaluate(d, s_hat, theta, wanted)
         key = self._key(d, s_hat, theta)
-        hit = self._cache.get(key)
-        if hit is not None:
+        cached = self._cache.get(key)
+        if cached is not None and _covers(cached[1], wanted):
             self.cache_hits += 1
-            return dict(hit)
-        result = self.template.evaluate(d, s_hat, theta)
+            return _select(cached[0], wanted)
+        run = self._widen(cached, wanted)
+        result = self.template.evaluate(d, s_hat, theta, run)
         self.simulation_count += 1
         self.cache_misses += 1
-        self._cache[key] = dict(result)
-        return result
+        self._store(key, result, run)
+        return _select(result, wanted)
+
+    def _widen(self, cached: Optional[Entry], wanted: Measured) -> Measured:
+        """What to simulate for ``wanted`` at a point whose cache entry
+        ``cached`` (None: not cached) does not cover it: the request, or
+        its union with what the entry measured."""
+        if cached is None:
+            return wanted
+        measured = cached[1]
+        lacking = sorted((wanted if wanted is not None else {
+            p.name for p in self.template.performances}) - measured)
+        _LOG.debug("%s: cached point lacks %s; simulating it again",
+                   self.template.name, ", ".join(lacking))
+        return None if wanted is None else measured | wanted
+
+    def _store(self, key: Tuple, values: Mapping[str, float],
+               measured: Measured) -> None:
+        entry = (dict(values), measured)
+        self._cache[key] = entry
+        if self._journal is not None:
+            self._journal.append((key, entry))
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: List[np.ndarray],
-                       theta: Mapping[str, float]) -> List:
-        """Evaluate many statistical points at one ``(d, theta)``.
+                       theta: Mapping[str, float],
+                       performances: Optional[Collection[str]] = None
+                       ) -> List:
+        """Evaluate many statistical points at one ``(d, theta)``, each
+        for ``performances``.
 
         Returns one entry per row, in row order: the performance dict,
         or the exception the evaluation raised (never raised here — the
@@ -127,49 +194,55 @@ class Evaluator:
 
         Counter and cache semantics replicate the serial
         ``evaluate()``-per-row loop exactly: every row counts one
-        request; cache hits count as hits; every simulated row counts
-        one simulation + one miss, and successful results enter the
-        cache in row order.  Only *first-occurrence uncached* rows go
-        through the template's batched path; a duplicate of a failed row
+        request; rows the cache covers count as hits; every simulated row
+        counts one simulation + one miss, and successful results enter
+        the cache in row order.  Only *first-occurrence uncovered* rows
+        go through the template's batched path, one call per distinct
+        set of performances to simulate; a duplicate of a failed row
         re-attempts serially, exactly as the serial loop would (the
         failure left nothing in the cache).
         """
+        wanted = _wanted(performances)
         if not self.cache_enabled:
             self.request_count += len(rows)
             self.simulation_count += len(rows)
             self.cache_misses += len(rows)
-            return self.template.evaluate_batch(d, rows, theta)
+            return self.template.evaluate_batch(d, rows, theta, wanted)
         # The design and theta parts are the same for every row.
         dk = self._design_key(d) if rows else ()
         tk = self._theta_key(theta) if rows else ()
         keys = [(dk, self._sample_key(row), tk) for row in rows]
-        todo: List[int] = []
+        todo: Dict[Measured, List[int]] = {}
         seen = set()
         for i, key in enumerate(keys):
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                todo.append(i)
-        produced: Dict[Tuple, object] = {}
-        if todo:
+            if key in seen:
+                continue
+            seen.add(key)
+            cached = self._cache.get(key)
+            if cached is None or not _covers(cached[1], wanted):
+                todo.setdefault(self._widen(cached, wanted), []).append(i)
+        produced: Dict[Tuple, Tuple[object, Measured]] = {}
+        for run, members in todo.items():
             entries = self.template.evaluate_batch(
-                d, [rows[i] for i in todo], theta)
-            produced = {keys[i]: entry
-                        for i, entry in zip(todo, entries)}
+                d, [rows[i] for i in members], theta, run)
+            produced.update((keys[i], (entry, run))
+                            for i, entry in zip(members, entries))
         results: List = []
         for i, key in enumerate(keys):
             self.request_count += 1
-            hit = self._cache.get(key)
-            if hit is not None:
+            cached = self._cache.get(key)
+            if cached is not None and _covers(cached[1], wanted):
                 self.cache_hits += 1
-                results.append(dict(hit))
+                results.append(_select(cached[0], wanted))
                 continue
-            entry = produced.pop(key, None)
+            entry, run = produced.pop(key, (None, None))
             if entry is None:
                 # Duplicate of a row whose batched attempt failed: the
                 # serial loop would re-simulate it (nothing was cached),
                 # so replicate that — including the repeated failure.
+                run = self._widen(cached, wanted)
                 try:
-                    entry = self.template.evaluate(d, rows[i], theta)
+                    entry = self.template.evaluate(d, rows[i], theta, run)
                 except Exception as exc:
                     entry = exc
             if isinstance(entry, BaseException):
@@ -180,8 +253,8 @@ class Evaluator:
                 continue
             self.simulation_count += 1
             self.cache_misses += 1
-            self._cache[key] = dict(entry)
-            results.append(dict(entry))
+            self._store(key, entry, run)
+            results.append(_select(entry, wanted))
         return results
 
     def constraints(self, d: Mapping[str, float]) -> Dict[str, float]:
@@ -237,30 +310,40 @@ class Evaluator:
         return len(self._cache)
 
     # -- worker-cache folding ----------------------------------------------------
-    def cache_items_since(self, start: int
-                          ) -> List[Tuple[Tuple, Dict[str, float]]]:
-        """Cache entries inserted at position ``start`` or later, in
-        insertion order (dicts preserve it).  Pool workers snapshot
-        ``cache_size`` before a task and ship only the entries the task
-        added."""
-        return list(itertools.islice(self._cache.items(), start, None))
+    @contextmanager
+    def recording(self) -> Iterator[List[Tuple[Tuple, Entry]]]:
+        """Collect every cache write made inside the block, in order —
+        an entry simulated again for more performances included.  A pool
+        worker records each task's writes and ships them to the parent's
+        :meth:`absorb_cache`."""
+        journal: List[Tuple[Tuple, Entry]] = []
+        self._journal = journal
+        try:
+            yield journal
+        finally:
+            self._journal = None
 
-    def absorb_cache(self, entries: Iterable[Tuple[Tuple, Dict[str, float]]]
+    def absorb_cache(self, entries: Iterable[Tuple[Tuple, Entry]]
                      ) -> Tuple[int, int]:
-        """Merge worker-produced cache entries into this cache, in order.
+        """Merge worker-produced cache writes into this cache, in order.
 
-        Returns ``(new, duplicate)`` counts.  A *new* key is a simulation
-        the parent would also have had to run serially; a *duplicate* is
-        one the parent cache (or an earlier-folded worker) already holds —
-        serially it would have been a cache hit.  Folding tasks in a
-        deterministic order therefore reproduces the serial run's cache
-        contents and its exact Table-7 counters.
+        Returns ``(new, duplicate)`` counts.  A write this cache already
+        covers is a *duplicate*: serially it would have been a cache hit.
+        Any other write is *new*, a simulation the parent would also have
+        had to run serially (the parent entry it extends, if any, then
+        holds the union of both).  Folding tasks in a deterministic order
+        therefore reproduces the serial run's cache contents and its
+        exact Table-7 counters.
         """
         new = duplicate = 0
-        for key, values in entries:
-            if key in self._cache:
+        for key, (values, measured) in entries:
+            cached = self._cache.get(key)
+            if cached is not None and _covers(cached[1], measured):
                 duplicate += 1
-            else:
-                self._cache[key] = dict(values)
-                new += 1
+                continue
+            if cached is not None:
+                measured = self._widen(cached, measured)
+                values = {**cached[0], **values}
+            self._cache[key] = (dict(values), measured)
+            new += 1
         return new, duplicate

@@ -12,15 +12,15 @@ and couples the small-signal drive through a *huge capacitor*:
 
 :class:`OpenLoopOpampBench` runs the standard measurement set on such a
 testbench: differential gain A0, transit frequency f_t, phase margin,
-common-mode gain / CMRR, supply power.  Templates build the netlist (core +
-bench elements) and delegate the extraction here.
+common-mode gain / CMRR, supply power.  Each is its own method and
+memoizes what it shares with the others (the 1 Hz gains, f_t), so a
+template measures only what a request needs.  Templates build the
+netlist (core + bench elements) and delegate the extraction here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..circuit.ac import (AcSystem, phase_margin, shared_matrix_transfers,
                           unity_gain_frequency, warm_unity_crossing)
@@ -67,18 +67,6 @@ def add_openloop_bench(circuit: Circuit, inp: str, inn: str, out: str,
     circuit.inductor("LFB", out, inn, FEEDBACK_INDUCTANCE)
 
 
-@dataclass
-class OpampMeasurements:
-    """Extracted opamp performances (presentation units noted per field)."""
-
-    a0_db: float
-    ft_hz: float
-    pm_deg: float
-    cmrr_db: float
-    power_w: float
-    output_dc: float
-
-
 class OpenLoopOpampBench:
     """Measurement driver for a circuit built with
     :func:`add_openloop_bench`."""
@@ -108,6 +96,8 @@ class OpenLoopOpampBench:
         self.dc_effort = dc_effort
         self._op: Optional[DCResult] = None
         self._systems: dict = {}
+        self._gains: Optional[Tuple[float, float]] = None
+        self._ft: Optional[float] = None
 
     @property
     def circuit(self) -> Circuit:
@@ -151,6 +141,51 @@ class OpenLoopOpampBench:
         """Open-loop common-mode gain at ``freq`` (+1 / +1 drive)."""
         return self._system(1.0, 1.0).transfer(self.out, freq)
 
+    def gains(self) -> Tuple[float, float]:
+        """``(|A_dm|, |A_cm|)`` at :data:`GAIN_MEASURE_HZ` (memoized).
+
+        The differential and common-mode benches share (G, B) — only the
+        source drives (rhs) differ — so both gains come from one
+        factorization (bitwise identical to two separate solves).  Raises
+        :class:`ExtractionError` when the differential gain is zero (a
+        dead circuit)."""
+        if self._gains is None:
+            h_dm, h_cm = shared_matrix_transfers(
+                [self._system(0.5, -0.5), self._system(1.0, 1.0)],
+                self.out, GAIN_MEASURE_HZ)
+            adm = abs(h_dm)
+            if adm <= 0.0:
+                raise ExtractionError(
+                    "differential gain is zero; dead circuit?")
+            self._gains = (adm, abs(h_cm))
+        return self._gains
+
+    def a0_db(self) -> float:
+        """Open-loop differential gain A0 [dB]."""
+        return db(self.gains()[0])
+
+    def cmrr_db(self, floor_db: float = 0.0) -> float:
+        """Common-mode rejection ratio [dB].  ``floor_db`` guards the
+        pathological case of a dead circuit whose differential gain is
+        below its common-mode gain."""
+        adm, acm = self.gains()
+        cmrr_db = db(adm / acm) if acm > 0.0 else 200.0
+        return max(cmrr_db, floor_db)
+
+    def ft_hz(self) -> float:
+        """Transit frequency [Hz] (memoized); 0 when the differential
+        gain at :data:`GAIN_MEASURE_HZ` does not exceed one."""
+        if self._ft is None:
+            self._ft = self.transit_frequency() \
+                if self.gains()[0] > 1.0 else 0.0
+        return self._ft
+
+    def pm_deg(self) -> float:
+        """Phase margin at the transit frequency [degrees]; 0 without
+        one."""
+        ft_hz = self.ft_hz()
+        return self.phase_margin(ft_hz) if ft_hz > 0.0 else 0.0
+
     def transit_frequency(self) -> float:
         """Unity-gain frequency of the differential path [Hz]."""
         system = self._system(0.5, -0.5)
@@ -175,55 +210,25 @@ class OpenLoopOpampBench:
         current = self.op.source_current(self.supply_source)
         return abs(current * vdd)
 
-    def measure(self, vdd: float, with_pm: bool = True,
-                cmrr_floor_db: float = 0.0) -> OpampMeasurements:
-        """Run the full measurement set.
-
-        ``cmrr_floor_db`` guards the pathological case of a dead circuit
-        whose differential gain is below its common-mode gain.
-        """
-        # The differential and common-mode benches share (G, B) — only the
-        # source drives (rhs) differ — so both gains come from one
-        # factorization (bitwise identical to two separate solves).
-        h_dm, h_cm = shared_matrix_transfers(
-            [self._system(0.5, -0.5), self._system(1.0, 1.0)],
-            self.out, GAIN_MEASURE_HZ)
-        adm = abs(h_dm)
-        acm = abs(h_cm)
-        if adm <= 0.0:
-            raise ExtractionError("differential gain is zero; dead circuit?")
-        a0_db = db(adm)
-        cmrr_db = db(adm / acm) if acm > 0.0 else 200.0
-        cmrr_db = max(cmrr_db, cmrr_floor_db)
-        ft_hz = self.transit_frequency() if adm > 1.0 else 0.0
-        pm_deg = self.phase_margin(ft_hz) if (with_pm and ft_hz > 0.0) \
-            else 0.0
-        return OpampMeasurements(
-            a0_db=a0_db,
-            ft_hz=ft_hz,
-            pm_deg=pm_deg,
-            cmrr_db=cmrr_db,
-            power_w=self.supply_power(vdd),
-            output_dc=self.op.voltage(self.out),
-        )
-
 
 class AssembledBench(OpenLoopOpampBench):
     """An :class:`OpenLoopOpampBench` over an already solved operating
-    point and already assembled AC systems — one Monte-Carlo row of the
-    sample-batched engine.
+    point — one Monte-Carlo row of the sample-batched engine.
 
-    ``op`` is the row's :class:`DCResult`; ``systems`` maps the
-    differential ``(0.5, -0.5)`` and common-mode ``(1.0, 1.0)`` drives to
-    the row's :class:`AcSystem`, so every measurement runs the scalar
-    code on them.  ``circuit`` is built on first access by ``build()``
-    (the noise analysis reads device values from it)."""
+    ``op`` is the row's :class:`DCResult`.  ``systems()`` assembles the
+    row's :class:`AcSystem` per drive — differential ``(0.5, -0.5)`` and
+    common-mode ``(1.0, 1.0)`` — from arrays captured with the row, so
+    every measurement runs the scalar code on them; it is called on the
+    first AC measurement only, so a row measured for operating-point
+    values alone assembles none.  ``circuit`` is built on first access
+    by ``build()`` (the noise analysis reads device values from it)."""
 
-    def __init__(self, op: DCResult, systems: Dict[tuple, AcSystem],
+    def __init__(self, op: DCResult,
+                 systems: Callable[[], Dict[tuple, AcSystem]],
                  build: Callable[[], Circuit], **bench):
         super().__init__(None, **bench)
         self._op = op
-        self._systems = systems
+        self._assemble = systems
         self._build = build
 
     @property
@@ -231,3 +236,8 @@ class AssembledBench(OpenLoopOpampBench):
         if self._circuit is None:
             self._circuit = self._build()
         return self._circuit
+
+    def _system(self, ac_p: complex, ac_n: complex) -> AcSystem:
+        if not self._systems:
+            self._systems = self._assemble()
+        return self._systems[(ac_p, ac_n)]

@@ -7,7 +7,8 @@ needs about one sizing problem:
 * the statistical space ``s`` (global + local, Sec. 4 transform inside),
 * the operating range ``Theta``,
 * the performance/spec list,
-* ``evaluate(d, s_hat, theta)``   — simulate and extract all performances,
+* ``evaluate(d, s_hat, theta, performances)`` — simulate and extract the
+  requested performances (all of them by default),
 * ``constraints(d)``              — the functional constraints c(d) >= 0
   that define the feasibility region F (Sec. 5.1).
 
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -117,12 +119,18 @@ class CircuitTemplate(abc.ABC):
     # -- the black box --------------------------------------------------------
     @abc.abstractmethod
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float]) -> Dict[str, float]:
-        """Simulate at ``(d, s_hat, theta)``; return all performance values.
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]] = None
+                 ) -> Dict[str, float]:
+        """Simulate at ``(d, s_hat, theta)``; return performance values.
 
         ``s_hat`` is in normalized coordinates (Sec. 4); the template
-        applies ``G(d)`` via its statistical space.  Must return a value
-        for every declared performance, in presentation units.
+        applies ``G(d)`` via its statistical space.  ``performances``
+        names the values wanted (``None``: every declared performance);
+        a template may skip the analyses only unrequested values need,
+        and must return a value for every requested performance, in
+        presentation units.  Values it returns must not depend on what
+        else was requested.
         """
 
     @abc.abstractmethod
@@ -135,8 +143,11 @@ class CircuitTemplate(abc.ABC):
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
-                       theta: Mapping[str, float]) -> list:
-        """Evaluate many statistical points at one ``(d, theta)``.
+                       theta: Mapping[str, float],
+                       performances: Optional[Collection[str]] = None
+                       ) -> list:
+        """Evaluate many statistical points at one ``(d, theta)``, each
+        for ``performances`` (as in :meth:`evaluate`).
 
         Returns one entry per row, **in row order**: the performance
         dict on success, or the raised exception object on failure (the
@@ -150,15 +161,38 @@ class CircuitTemplate(abc.ABC):
         entries: list = []
         for row in rows:
             try:
-                entries.append(self.evaluate(d, row, theta))
+                entries.append(self.evaluate(d, row, theta, performances))
             except Exception as exc:
                 entries.append(exc)
         return entries
 
     # -- convenience -----------------------------------------------------------
+    def requested_performances(self,
+                               performances: Optional[Collection[str]]
+                               ) -> Tuple[str, ...]:
+        """The declared performances a request covers, in declaration
+        order (``None``: all of them)."""
+        return tuple(p.name for p in self.performances
+                     if performances is None or p.name in performances)
+
     def spec_for(self, performance: str) -> Spec:
         """The (first) spec bounding a performance."""
         for spec in self.specs:
             if spec.performance == performance:
                 return spec
         raise ReproError(f"no spec on performance {performance!r}")
+
+
+def measure_requested(performances: Optional[Collection[str]],
+                      measurements: Mapping[str, Callable[[], float]]
+                      ) -> Dict[str, float]:
+    """Run the measurements of the requested performances, in the order
+    of ``measurements`` (``None``: every one), and return their values.
+
+    A template's one ``extract`` path: each value is a zero-argument
+    callable, so an unrequested performance costs nothing, and the
+    measurements memoize what they share (the bench's 1 Hz gains, its
+    transit frequency), so a value is bitwise the same whatever else the
+    request holds."""
+    return {name: measure() for name, measure in measurements.items()
+            if performances is None or name in performances}

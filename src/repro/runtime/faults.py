@@ -21,7 +21,7 @@ faults — can be exercised without a flaky simulator:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Collection, Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -73,12 +73,14 @@ class FaultInjectingEvaluator:
 
     # -- evaluator interface ------------------------------------------------------
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float]) -> Dict[str, float]:
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]] = None
+                 ) -> Dict[str, float]:
         self.request_index += 1
         if self.request_index in self.schedule or \
                 self._point_fails(d, s_hat, theta):
             self._raise_fault()
-        return self._inner.evaluate(d, s_hat, theta)
+        return self._inner.evaluate(d, s_hat, theta, performances)
 
     def performance(self, name: str, d: Mapping[str, float],
                     s_hat: np.ndarray,

@@ -7,10 +7,10 @@ applies a :class:`~repro.runtime.policy.FaultPolicy` to every
 * RETRY-class errors re-evaluate at a jittered point (bounded attempts,
   exponentially growing perturbation; see
   :class:`~repro.runtime.policy.RetryConfig`),
-* COUNT-AS-FAIL-class errors (and exhausted retries) either return an
-  all-NaN performance record in **lenient** mode — NaN fails every spec
-  comparison, so the sample counts as spec-violating downstream without
-  any special-casing — or re-raise in **strict** mode,
+* COUNT-AS-FAIL-class errors (and exhausted retries) either return a NaN
+  record of the requested performances in **lenient** mode — NaN fails
+  every spec comparison, so the sample counts as spec-violating
+  downstream without any special-casing — or re-raise in **strict** mode,
 * ABORT-class errors always propagate.
 
 The optimizer runs verification Monte-Carlo in lenient mode (a
@@ -26,7 +26,7 @@ an :class:`Evaluator`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Mapping, Optional
+from typing import Collection, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -86,27 +86,34 @@ class FaultTolerantEvaluator:
             self.fail_mode = previous
 
     # -- policy-applying evaluation ----------------------------------------------
-    def _failure_values(self) -> Dict[str, float]:
-        return {performance.name: float("nan")
-                for performance in self._inner.template.performances}
+    def _failure_values(self, performances: Optional[Collection[str]]
+                        ) -> Dict[str, float]:
+        return {name: float("nan") for name in
+                self._inner.template.requested_performances(performances)}
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float]) -> Dict[str, float]:
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]] = None
+                 ) -> Dict[str, float]:
         try:
             return self._inner.evaluate(d, np.asarray(s_hat, dtype=float),
-                                        theta)
+                                        theta, performances)
         except Exception as exc:
             error = exc
         # Outside the handler, so a retry's error is not chained to it.
-        return self.resume_after_failure(d, s_hat, theta, error)
+        return self.resume_after_failure(d, s_hat, theta, error,
+                                         performances)
 
     def resume_after_failure(self, d: Mapping[str, float],
                              s_hat: np.ndarray,
                              theta: Mapping[str, float],
-                             error: BaseException) -> Dict[str, float]:
-        """The fault policy after a first attempt failed with ``error``:
-        classify, retry at jittered points, count, and return the values,
-        NaN performances (lenient) or raise (strict).
+                             error: BaseException,
+                             performances: Optional[Collection[str]] = None
+                             ) -> Dict[str, float]:
+        """The fault policy after a first attempt of a request for
+        ``performances`` failed with ``error``: classify, retry at
+        jittered points, count, and return the values, NaN performances
+        (lenient) or raise (strict).
 
         :meth:`evaluate` hands its own failed first attempt here, and the
         batched engine, which evaluates first attempts in bulk, hands
@@ -126,7 +133,8 @@ class FaultTolerantEvaluator:
                 point = self.policy.jittered(d, s_hat, theta, attempt)
                 attempt += 1
                 try:
-                    values = self._inner.evaluate(d, point, theta)
+                    values = self._inner.evaluate(d, point, theta,
+                                                  performances)
                     self.recovered_evaluations += 1
                     return values
                 except Exception as new_exc:
@@ -136,7 +144,7 @@ class FaultTolerantEvaluator:
             self.failed_evaluations += 1
             if self.fail_mode == MODE_RAISE:
                 raise exc
-            return self._failure_values()
+            return self._failure_values(performances)
 
     # -- conveniences routed through the policy ----------------------------------
     def performance(self, name: str, d: Mapping[str, float],

@@ -5,10 +5,12 @@ passes iff **every** spec holds *at that spec's worst-case operating
 point*.  Specs sharing a worst-case corner share one simulation (the
 paper's ``N*`` remark in Sec. 2), so the pipeline first groups specs by
 corner, then drives the :class:`BatchExecutor` over ``n_samples x
-n_corners`` evaluations, and finally turns raw performance values into
-per-spec pass/fail arrays.  What an estimator adds on top is only *where
-the samples come from* and *how the indicator is averaged* (plain mean,
-likelihood-ratio-weighted mean, low-discrepancy mean).
+n_corners`` evaluations — each corner measuring only the performances of
+the specs checked there, since Eq. 6-7 reads no other value — and
+finally turns raw performance values into per-spec pass/fail arrays.
+What an estimator adds on top is only *where the samples come from* and
+*how the indicator is averaged* (plain mean, likelihood-ratio-weighted
+mean, low-discrepancy mean).
 """
 
 from __future__ import annotations
@@ -88,15 +90,20 @@ class YieldEstimator(abc.ABC):
                          theta_per_spec: Mapping[str, Mapping[str, float]],
                          matrix: np.ndarray,
                          report: RunReport) -> SampleEvaluation:
-        """Evaluate all samples at all distinct worst-case corners and
-        reduce to per-spec pass arrays (fills executor telemetry)."""
+        """Evaluate all samples at all distinct worst-case corners, each
+        for the performances of its specs, and reduce to per-spec pass
+        arrays (fills executor telemetry)."""
         template = evaluator.template
+        specs = {spec_key(spec): spec for spec in template.specs}
         groups = group_by_theta(theta_per_spec, template.operating_range)
         thetas: List[Mapping[str, float]] = []
         group_keys: List[List[str]] = []
+        requests: List[Tuple[str, ...]] = []
         for corner, keys in groups.items():
             thetas.append(dict(theta_per_spec[keys[0]]))
             group_keys.append(keys)
+            requests.append(template.requested_performances(
+                {specs[key].performance for key in keys}))
 
         before = (evaluator.simulation_count, evaluator.request_count,
                   evaluator.cache_hits, evaluator.cache_misses)
@@ -107,9 +114,8 @@ class YieldEstimator(abc.ABC):
         dc0 = dc_stats() if callable(dc_stats) else None
         with PhaseTimer(report, "simulate"):
             outcome = BatchExecutor(self.execution, pool=self.pool).run(
-                evaluator, d, thetas, matrix)
+                evaluator, d, thetas, matrix, requests)
 
-        specs = {spec_key(spec): spec for spec in template.specs}
         n = matrix.shape[0]
         spec_values: Dict[str, np.ndarray] = {}
         spec_pass: Dict[str, np.ndarray] = {}

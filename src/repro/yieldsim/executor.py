@@ -1,8 +1,9 @@
 """Batched parallel execution engine for sample-matrix evaluation.
 
 Every yield estimator reduces to the same inner loop: evaluate each
-statistical sample at each distinct worst-case operating corner.  This
-module runs that loop either serially (sharing the caller's cached
+statistical sample at each distinct worst-case operating corner, for the
+performances of the specs checked there.  This module runs that loop
+either serially (sharing the caller's cached
 :class:`~repro.evaluation.evaluator.Evaluator`) or on a
 :class:`PoolHandle`, the one process pool of the package:
 
@@ -22,7 +23,7 @@ module runs that loop either serially (sharing the caller's cached
   terminated (a hung process must not outlive the run), tasks that
   finished before the collapse are harvested and the rest run serially
   in the parent;
-* workers ship back the **cache entries** each task added plus its
+* workers ship back the **cache writes** each task made plus its
   warm-start, DC-effort and fault-policy counter deltas; the parent
   folds them in dispatch order via :func:`fold_task`, which reproduces
   a serial run's cache and every Table-7 counter;
@@ -40,8 +41,8 @@ import sys
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Collection, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -54,6 +55,10 @@ _LOG = logging.getLogger(__name__)
 #: small enough to balance uneven chunk runtimes, large enough to
 #: amortize task submission overhead.
 _CHUNKS_PER_WORKER = 4
+
+#: Per-theta performance requests (``None``: every performance at every
+#: theta; an element ``None``: every performance at that theta).
+Requests = Optional[Sequence[Optional[Collection[str]]]]
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class BatchOutcome:
     """Evaluation of a full sample matrix.
 
     ``values[j][g]`` is the performance dict of sample ``j`` at operating
-    point (theta group) ``g`` — ordering matches the input matrix exactly,
-    regardless of backend.
+    point (theta group) ``g``, holding the performances requested there —
+    ordering matches the input matrix exactly, regardless of backend.
     """
 
     values: List[List[Dict[str, float]]]
@@ -115,21 +120,35 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
+def _per_theta(performances: Requests, n_thetas: int) -> list:
+    """One request per theta."""
+    if performances is None:
+        return [None] * n_thetas
+    if len(performances) != n_thetas:
+        raise ReproError(
+            f"{len(performances)} performance requests for {n_thetas} "
+            f"operating points")
+    return list(performances)
+
+
 # -- task functions (run in a worker, or serially in the parent) --------------
 def _evaluate_rows(evaluator, d: Mapping[str, float],
                    thetas: Sequence[Mapping[str, float]],
-                   rows: Sequence[np.ndarray]
+                   rows: Sequence[np.ndarray],
+                   performances: Requests = None
                    ) -> List[List[Dict[str, float]]]:
-    """``values[j][g]`` of every row at every theta: through the
-    sample-batched engine when the stack allows it, else the scalar
-    per-row loop.  The serial path and every pooled Monte-Carlo chunk
-    run this one function."""
+    """``values[j][g]`` of every row at every theta, for the theta's
+    request in ``performances``: through the sample-batched engine when
+    the stack allows it, else the scalar per-row loop.  The serial path
+    and every pooled Monte-Carlo chunk run this one function."""
     values = None
     if len(rows) > 1:
-        values = batched_columns(evaluator, d, thetas, rows)
+        values = batched_columns(evaluator, d, thetas, rows, performances)
     if values is None:
-        values = [[dict(evaluator.evaluate(d, row, theta))
-                   for theta in thetas] for row in rows]
+        requests = _per_theta(performances, len(thetas))
+        values = [[dict(evaluator.evaluate(d, row, theta, wanted))
+                   for theta, wanted in zip(thetas, requests)]
+                  for row in rows]
     return values
 
 
@@ -149,8 +168,9 @@ _WORKER: Dict[str, object] = {}
 class TaskCounts:
     """Evaluator-side effort of one pool task, in parent-foldable form.
 
-    ``entries`` are the cache entries the task *added* to its worker's
-    evaluator (insertion order); ``hits`` are the task's local cache hits.
+    ``entries`` are the cache writes the task made in its worker's
+    evaluator, in order (:meth:`~repro.evaluation.evaluator.Evaluator.
+    recording`); ``hits`` are the task's local cache hits.
     ``failed``/``retried``/``recovered`` mirror the per-task
     :class:`~repro.runtime.tolerant.FaultTolerantEvaluator` counters.
     """
@@ -158,8 +178,7 @@ class TaskCounts:
     requests: int = 0
     hits: int = 0
     simulations: int = 0
-    entries: List[Tuple[Tuple, Dict[str, float]]] = field(
-        default_factory=list)
+    entries: List[Tuple[Tuple, tuple]] = field(default_factory=list)
     failed: int = 0
     retried: int = 0
     recovered: int = 0
@@ -201,15 +220,16 @@ def _pool_task(fn: Callable, task: Tuple, policy, fail_mode
         target = guarded = FaultTolerantEvaluator(evaluator, policy,
                                                   fail_mode)
     requests, hits = evaluator.request_count, evaluator.cache_hits
-    simulations, size = evaluator.simulation_count, evaluator.cache_size
+    simulations = evaluator.simulation_count
     warm0, dc0 = _warm_stats(evaluator), _dc_stats(evaluator)
-    value = fn(target, *task)
+    with evaluator.recording() as writes:
+        value = fn(target, *task)
     dc = _dc_stats(evaluator)
     counts = TaskCounts(
         requests=evaluator.request_count - requests,
         hits=evaluator.cache_hits - hits,
         simulations=evaluator.simulation_count - simulations,
-        entries=evaluator.cache_items_since(size),
+        entries=writes,
         warm=WarmStartCache.counter_delta(_warm_stats(evaluator), warm0)
         if warm0 else {},
         dc=DcEffort.counter_delta(dc, dc0) if dc or dc0 else {})
@@ -241,10 +261,11 @@ def fold_task(evaluator, counts: TaskCounts) -> None:
     """Fold one task's effort into the parent evaluation stack.
 
     With caching on, the fold reconstructs exactly what a serial run
-    would have counted: every entry new to the parent cache is one
-    simulation + one miss; every entry the parent already holds would
-    have been a hit.  Tasks must be folded in a deterministic order (the
-    dispatch order), never completion order.
+    would have counted: every write the parent cache does not cover is
+    one simulation + one miss; every write it covers would have been a
+    hit (:meth:`~repro.evaluation.evaluator.Evaluator.absorb_cache`).
+    Tasks must be folded in a deterministic order (the dispatch order),
+    never completion order.
     """
     inner = evaluator
     maybe = unwrap_pool_stack(evaluator)
@@ -465,10 +486,12 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
 
 def batched_columns(evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
-                    matrix: Sequence[np.ndarray]
+                    matrix: Sequence[np.ndarray],
+                    performances: Requests = None
                     ) -> Optional[List[List[Dict[str, float]]]]:
     """In-process evaluation of ``matrix`` rows through the
-    sample-batched engine.
+    sample-batched engine, each theta for its request in
+    ``performances``.
 
     Evaluates column-major — all rows at one theta per
     :meth:`~repro.evaluation.evaluator.Evaluator.evaluate_batch` call,
@@ -496,12 +519,13 @@ def batched_columns(evaluator, d: Mapping[str, float],
     inner, policy, _ = maybe
     rows = [np.asarray(row, dtype=float) for row in matrix]
     columns: List[List] = []
-    for theta in thetas:
-        entries = inner.evaluate_batch(d, rows, theta)
+    for theta, wanted in zip(thetas, _per_theta(performances, len(thetas))):
+        entries = inner.evaluate_batch(d, rows, theta, wanted)
         column: List = []
         for row, entry in zip(rows, entries):
             if isinstance(entry, BaseException) and policy is not None:
-                entry = evaluator.resume_after_failure(d, row, theta, entry)
+                entry = evaluator.resume_after_failure(d, row, theta, entry,
+                                                       wanted)
             column.append(entry)
         columns.append(column)
     for j in range(len(rows)):  # earliest failure in row-major order
@@ -557,20 +581,26 @@ class BatchExecutor:
 
     def run(self, evaluator: Evaluator, d: Mapping[str, float],
             thetas: Sequence[Mapping[str, float]],
-            matrix: np.ndarray) -> BatchOutcome:
-        """Evaluate every row of ``matrix`` at every theta in ``thetas``."""
+            matrix: np.ndarray,
+            performances: Requests = None) -> BatchOutcome:
+        """Evaluate every row of ``matrix`` at every theta in ``thetas``,
+        for the performances ``performances[g]`` requests at theta ``g``
+        (``None``: every performance everywhere)."""
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ReproError("sample matrix must be 2-D (n, dim)")
         if not thetas:
             raise ReproError("at least one operating point is required")
+        if performances is not None:
+            performances = _per_theta(performances, len(thetas))
         n = matrix.shape[0]
         if self.pool is not None:
             compatible = self.pool.compatible(evaluator)
             if self.pool.alive and compatible and n > 1:
                 return self._run_pooled(self.pool, evaluator, d, thetas,
-                                        matrix)
-            outcome = self._run_serial(evaluator, d, thetas, matrix)
+                                        matrix, performances)
+            outcome = self._run_serial(evaluator, d, thetas, matrix,
+                                       performances)
             # Telemetry must name the *reason* the pool went unused: an
             # incompatible stack is flagged even while the pool is
             # healthy, whereas a dead pool only counts as degradation
@@ -582,22 +612,26 @@ class BatchExecutor:
                 outcome.degraded_to_serial = True
             return outcome
         if self.config.jobs == 1 or n == 1:
-            return self._run_serial(evaluator, d, thetas, matrix)
+            return self._run_serial(evaluator, d, thetas, matrix,
+                                    performances)
         pool = PoolHandle.for_evaluator(evaluator, self.config.jobs,
                                         task_timeout_s=self.config.timeout_s)
         if pool is None:
-            outcome = self._run_serial(evaluator, d, thetas, matrix)
+            outcome = self._run_serial(evaluator, d, thetas, matrix,
+                                       performances)
             outcome.pool_incompatible = True
             return outcome
         with pool:
-            return self._run_pooled(pool, evaluator, d, thetas, matrix)
+            return self._run_pooled(pool, evaluator, d, thetas, matrix,
+                                    performances)
 
     def _run_serial(self, evaluator: Evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
-                    matrix: np.ndarray) -> BatchOutcome:
+                    matrix: np.ndarray,
+                    performances: Requests) -> BatchOutcome:
         before = (evaluator.simulation_count, evaluator.request_count,
                   evaluator.cache_hits, evaluator.cache_misses)
-        values = _evaluate_rows(evaluator, d, thetas, matrix)
+        values = _evaluate_rows(evaluator, d, thetas, matrix, performances)
         return BatchOutcome(
             values=values,
             simulations=evaluator.simulation_count - before[0],
@@ -609,15 +643,16 @@ class BatchExecutor:
     def _run_pooled(self, pool: PoolHandle, evaluator,
                     d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
-                    matrix: np.ndarray) -> BatchOutcome:
+                    matrix: np.ndarray,
+                    performances: Requests) -> BatchOutcome:
         inner = unwrap_pool_stack(evaluator)[0]
         n = matrix.shape[0]
         size = self.config.chunk_size \
             or max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
         d_plain = dict(d)
         thetas_plain = [dict(theta) for theta in thetas]
-        tasks = [(d_plain, thetas_plain, matrix[start:start + size])
-                 for start in range(0, n, size)]
+        tasks = [(d_plain, thetas_plain, matrix[start:start + size],
+                  performances) for start in range(0, n, size)]
 
         def rerun(task):
             try:

@@ -92,7 +92,7 @@ class LinearTemplate(CircuitTemplate):
         result += float(self.cs @ np.asarray(s_hat))
         return result
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         self.evaluations += 1
         return {"f": self.value(d, s_hat, theta)}
 
@@ -140,7 +140,7 @@ class QuadraticTemplate(CircuitTemplate):
         # (s0 - s1) = 2t/sqrt(2) = t*sqrt(2), so f = peak - 2*curvature*t^2.
         return math.sqrt(margin / (2.0 * self.curvature))
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         s_hat = np.asarray(s_hat)
         diff = s_hat[0] - s_hat[1]
         return {"f": self.peak - self.curvature * diff * diff

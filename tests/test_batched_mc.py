@@ -164,14 +164,13 @@ class _FaultyMiller(MillerOpamp):
         self.analysis_above = analysis_above
         self.hard_below = hard_below
 
-    def extract(self, bench, d, theta):
-        values = super().extract(bench, d, theta)
-        if values["a0"] > self.analysis_above:
-            raise ConvergenceError(
-                f"injected analysis fault at a0={values['a0']!r}")
-        if values["a0"] < self.hard_below:
-            raise RuntimeError(
-                f"injected hard fault at a0={values['a0']!r}")
+    def extract(self, bench, d, theta, performances=None):
+        values = super().extract(bench, d, theta, performances)
+        a0 = bench.a0_db()  # the trigger, whatever the request measures
+        if a0 > self.analysis_above:
+            raise ConvergenceError(f"injected analysis fault at a0={a0!r}")
+        if a0 < self.hard_below:
+            raise RuntimeError(f"injected hard fault at a0={a0!r}")
         return values
 
 
@@ -252,9 +251,9 @@ class _RecordingMiller(MillerOpamp):
         super().__init__()
         self.raised = []
 
-    def extract(self, bench, d, theta):
+    def extract(self, bench, d, theta, performances=None):
         try:
-            return super().extract(bench, d, theta)
+            return super().extract(bench, d, theta, performances)
         except Exception as exc:
             self.raised.append(exc)
             raise
@@ -264,15 +263,15 @@ def _tamper_ac_row(monkeypatch, row, tamper):
     """Apply ``tamper(engine, plan)`` to the AC engine of carried chunk
     sample ``row`` of every chunk the batched path measures (in place,
     so both drives of the row see it)."""
-    ac_systems = batch_module.SampleBatchPlan.ac_systems
+    ac_systems = batch_module._RowDCResult.ac_systems
 
-    def tampered(self, k):
-        systems = ac_systems(self, k)
-        if k == row:
-            tamper(systems[(0.5, -0.5)]._engine, self)
+    def tampered(self):
+        systems = ac_systems(self)
+        if self._fin["rows"][self._i] == row:
+            tamper(systems[(0.5, -0.5)]._engine, self._plan)
         return systems
 
-    monkeypatch.setattr(batch_module.SampleBatchPlan, "ac_systems", tampered)
+    monkeypatch.setattr(batch_module._RowDCResult, "ac_systems", tampered)
 
 
 def _zero_matrix(engine, plan):
@@ -401,21 +400,22 @@ class TestRowMeasurementMemory:
         assert garbage == []
 
     def test_rows_are_released_one_by_one(self, monkeypatch):
-        """When a row's systems are assembled, at most the previous
-        row's are still alive (its bench is dropped right after)."""
+        """When a row's systems are assembled, no earlier row's are
+        still alive: they are assembled on the row's first AC
+        measurement, after the previous row's bench was dropped."""
         alive_at_assembly = []
         refs = []
-        ac_systems = batch_module.SampleBatchPlan.ac_systems
+        ac_systems = batch_module._RowDCResult.ac_systems
 
-        def spy(self, k):
+        def spy(self):
             alive_at_assembly.append(sum(r() is not None for r in refs))
-            systems = ac_systems(self, k)
+            systems = ac_systems(self)
             refs.append(weakref.ref(systems[(0.5, -0.5)]._engine))
             return systems
 
-        monkeypatch.setattr(batch_module.SampleBatchPlan, "ac_systems", spy)
+        monkeypatch.setattr(batch_module._RowDCResult, "ac_systems", spy)
         _parity_case("miller", n=5, seed=11, linsolve="sparse")
-        assert alive_at_assembly == [0, 1, 1, 1, 1]
+        assert alive_at_assembly == [0, 0, 0, 0, 0]
         assert all(r() is None for r in refs)
 
 
@@ -778,7 +778,9 @@ def _count_batch_calls(monkeypatch):
 class TestEstimatorEndToEnd:
     """The operational Monte-Carlo gives the scalar loop's answer in every
     execution mode: the batched engine (one chunk, and chunks of 8 rows)
-    and a two-worker pool, with warm anchors and from the cold chain."""
+    and a two-worker pool, with warm anchors and from the cold chain.
+    Each corner measures only the performances of its specs; a run that
+    measures every performance at every corner agrees too."""
 
     @staticmethod
     def _estimate(mode, name, linsolve, warm_dc, tolerant, seed):
@@ -814,6 +816,16 @@ class TestEstimatorEndToEnd:
             runs["chunked"] = self._estimate("chunked", **case)
         runs["pooled"] = self._estimate("pooled", **case)
         assert runs["pooled"][0].report.backend == "process-pool"
+        with monkeypatch.context() as patch:
+            run = BatchExecutor.run
+
+            def every_performance(self, evaluator, d, thetas, matrix,
+                                  performances=None):
+                assert performances is not None  # the per-corner requests
+                return run(self, evaluator, d, thetas, matrix)
+
+            patch.setattr(BatchExecutor, "run", every_performance)
+            runs["all-performances"] = self._estimate("batched", **case)
         for mode, (result, warm) in runs.items():
             for key in MODE_FIELDS:
                 assert getattr(result, key) == getattr(scalar, key), \

@@ -43,7 +43,7 @@ class TwoSpecTemplate(CircuitTemplate):
             ["c0"],
         )
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         s_hat = np.asarray(s_hat)
         return {"f1": d["d0"] + s_hat[0],
                 "f2": 4.0 - d["d0"] + 0.5 * s_hat[1]}

@@ -185,7 +185,7 @@ def _effort(evaluator):
              for name in ("dc_effort_stats", "warm_cache_stats")
              if hasattr(template, name)]
     return (evaluator.simulation_count, evaluator.request_count,
-            evaluator.cache_hits, evaluator.cache_items_since(0), stats)
+            evaluator.cache_hits, list(evaluator._cache.items()), stats)
 
 
 def _assert_same_result(a, b):

@@ -47,11 +47,10 @@ class TestIdealOpampMeasurements:
 
     def test_common_mode_gain_and_cmrr(self):
         bench = ideal_opamp_bench(gain=1000.0, cm_gain=0.05)
-        meas = bench.measure(vdd=3.3)
         assert abs(bench.common_mode_gain()) == pytest.approx(0.05,
                                                               rel=0.05)
         expected_cmrr = 20 * math.log10(1000.0 / 0.05)
-        assert meas.cmrr_db == pytest.approx(expected_cmrr, abs=0.5)
+        assert bench.cmrr_db() == pytest.approx(expected_cmrr, abs=0.5)
 
     def test_transit_frequency_is_gbw(self):
         bench = ideal_opamp_bench(gain=1000.0, pole_hz=1e3)
@@ -68,11 +67,10 @@ class TestIdealOpampMeasurements:
 
     def test_measure_bundle(self):
         bench = ideal_opamp_bench(gain=1000.0)
-        meas = bench.measure(vdd=3.3)
-        assert meas.a0_db == pytest.approx(60.0, abs=0.1)
-        assert meas.ft_hz == pytest.approx(1e6, rel=0.02)
-        assert meas.pm_deg == pytest.approx(90.0, abs=1.5)
-        assert meas.output_dc == pytest.approx(1.5, abs=0.2)
+        assert bench.a0_db() == pytest.approx(60.0, abs=0.1)
+        assert bench.ft_hz() == pytest.approx(1e6, rel=0.02)
+        assert bench.pm_deg() == pytest.approx(90.0, abs=1.5)
+        assert bench.op.voltage("out") == pytest.approx(1.5, abs=0.2)
 
     def test_ac_systems_cached_per_drive(self):
         bench = ideal_opamp_bench()

@@ -9,7 +9,12 @@ shared-matrix solves.  Failure modes must match too: a singular MNA
 system raises the same :class:`SingularMatrixError` from both backends.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -355,6 +360,65 @@ class TestPatternFactorizerFallbacks:
         factorizer = PatternFactorizer(pattern)
         assert factorizer._args is None
         self._check(pattern, factorizer)
+
+    def test_import_fallback_in_a_fresh_interpreter(self, tmp_path):
+        """Hide scipy's private ``_superlu`` module after scipy has loaded
+        it, then import the package in a fresh interpreter: the import
+        falls back (``_superlu_mod`` is None), every factorization goes
+        through ``_splu_factor``, and the solutions on the array's DC and
+        AC patterns equal this process's private-entry-point ones
+        bitwise."""
+        if linsolve._superlu_mod is None:
+            pytest.skip("scipy exposes no private gstrf entry point")
+        dc, dc_data, dc_rhs, ac = _array_dc_stamp(3, GMIN_FINAL)
+        omega = 2.0 * np.pi * 1e6
+        cases = {"dc": (dc, dc_data, dc_rhs),
+                 "ac": (ac._pattern, ac._g_full + 1j * omega * ac._b_full,
+                        ac.rhs)}
+        expected = {}
+        for name, (pattern, data, rhs) in cases.items():
+            np.savez(tmp_path / f"{name}.npz", rows=pattern.rows,
+                     cols=pattern.cols, size=pattern.size, data=data,
+                     rhs=rhs)
+            factorizer = PatternFactorizer(pattern)
+            assert factorizer._args is not None
+            expected[name] = factorizer.factor(data, "t").solve(rhs)
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import scipy.sparse.linalg  # loads the private _superlu
+            import scipy.sparse.linalg._dsolve as dsolve
+            del dsolve._superlu
+            sys.modules["scipy.sparse.linalg._dsolve._superlu"] = None
+            import repro.circuit.linsolve as linsolve
+            assert linsolve._superlu_mod is None
+            calls = []
+            splu_factor = linsolve._splu_factor
+
+            def counting(matrix, context):
+                calls.append(context)
+                return splu_factor(matrix, context)
+
+            linsolve._splu_factor = counting
+            for name in ("dc", "ac"):
+                case = np.load(f"{sys.argv[1]}/{name}.npz")
+                pattern = linsolve.SparsePattern(
+                    case["rows"], case["cols"], int(case["size"]))
+                factorizer = linsolve.PatternFactorizer(pattern)
+                assert factorizer._args is None
+                x = factorizer.factor(case["data"], name).solve(case["rhs"])
+                np.save(f"{sys.argv[1]}/{name}_x.npy", x)
+            assert calls == ["dc", "ac"], calls
+            """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in cases:
+            got = np.load(tmp_path / f"{name}_x.npy")
+            assert np.array_equal(got, expected[name]), name
 
     def test_changed_gstrf_signature(self, monkeypatch):
         if linsolve._superlu_mod is None:

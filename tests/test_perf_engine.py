@@ -114,6 +114,42 @@ class TestUnityGainSearch:
         assert batched_rounds * (SECTION_POINTS + 1) >= bisect_rounds
         assert batched_rounds < bisect_rounds / 2
 
+    def test_sparse_sweep_stops_at_the_first_point_below_unity(
+            self, monkeypatch):
+        """On the sparse engine each section point is its own
+        factorization, so a round solves its points left to right only
+        up to the first at or below unity.  On ``two-stage-array`` rows
+        from the cold chain (full sweeps, no warm bracket) that gives the
+        stacked sweep's f_t bit for bit with fewer factorizations."""
+        from repro.circuit.linsolve import PatternFactorizer
+        from repro.circuits.two_stage_array import TwoStageArrayOpamp
+
+        def transit_frequencies():
+            template = TwoStageArrayOpamp()
+            template.warm_dc = False
+            d = template.initial_design()
+            rows = list(np.random.default_rng(4).standard_normal(
+                (3, template.statistical_space.dim)))
+            factor = PatternFactorizer.factor
+            calls = []
+
+            def counting(self, data, context):
+                calls.append(context)
+                return factor(self, data, context)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PatternFactorizer, "factor", counting)
+                values = template.evaluate_batch(
+                    d, rows, template.operating_range.nominal(), ("ft",))
+            return [v["ft"] for v in values], len(calls)
+
+        lazy, lazy_calls = transit_frequencies()
+        monkeypatch.setattr(AcSystem, "factors_per_frequency",
+                            property(lambda self: False))
+        stacked, stacked_calls = transit_frequencies()
+        assert lazy == stacked and all(ft > 0.0 for ft in lazy)
+        assert lazy_calls < stacked_calls
+
     def test_shared_matrix_transfers_bitwise(self):
         ckt_a, fc = rc_lowpass()
         op = solve_dc(ckt_a)
@@ -262,12 +298,13 @@ class TestEvaluatorKey:
         serial = Evaluator(template)
         for s in points + points:  # second pass = pure hits
             serial.evaluate(d, s, theta)
-        # "Worker" evaluates the same points, parent folds the entries.
+        # "Worker" evaluates the same points, parent folds its writes.
         worker = Evaluator(template)
-        for s in points + points:
-            worker.evaluate(d, s, theta)
+        with worker.recording() as writes:
+            for s in points + points:
+                worker.evaluate(d, s, theta)
         parent = Evaluator(template)
-        new, dup = parent.absorb_cache(worker.cache_items_since(0))
+        new, dup = parent.absorb_cache(writes)
         parent.absorb_counts(simulations=new, requests=worker.request_count,
                              cache_hits=worker.cache_hits + dup,
                              cache_misses=new)

@@ -52,10 +52,10 @@ class PoisonedTemplate(LinearTemplate):
         self.poison = np.asarray(poison, dtype=float)
         self.error = error
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         if np.array_equal(np.asarray(s_hat, dtype=float), self.poison):
             raise self.error("poisoned statistical point")
-        return super().evaluate(d, s_hat, theta)
+        return super().evaluate(d, s_hat, theta, performances)
 
 
 class AlwaysFailingTemplate(LinearTemplate):
@@ -63,7 +63,7 @@ class AlwaysFailingTemplate(LinearTemplate):
         super().__init__(**kwargs)
         self.error = error
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         raise self.error("permanent failure")
 
 

@@ -29,9 +29,9 @@ class SlowTemplate(LinearTemplate):
         super().__init__()
         self.delay = delay
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         time.sleep(self.delay)
-        return super().evaluate(d, s_hat, theta)
+        return super().evaluate(d, s_hat, theta, performances)
 
 
 class FailInWorkerTemplate(LinearTemplate):
@@ -42,10 +42,10 @@ class FailInWorkerTemplate(LinearTemplate):
         super().__init__()
         self.home_pid = os.getpid()
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         if os.getpid() != self.home_pid:
             raise RuntimeError("worker-side failure")
-        return super().evaluate(d, s_hat, theta)
+        return super().evaluate(d, s_hat, theta, performances)
 
 
 class WedgeInWorkerTemplate(LinearTemplate):
@@ -57,10 +57,10 @@ class WedgeInWorkerTemplate(LinearTemplate):
         self.home_pid = os.getpid()
         self.delay = delay
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         if os.getpid() != self.home_pid:
             time.sleep(self.delay)
-        return super().evaluate(d, s_hat, theta)
+        return super().evaluate(d, s_hat, theta, performances)
 
 
 class DieInWorkerTemplate(LinearTemplate):
@@ -70,10 +70,10 @@ class DieInWorkerTemplate(LinearTemplate):
         super().__init__()
         self.home_pid = os.getpid()
 
-    def evaluate(self, d, s_hat, theta):
+    def evaluate(self, d, s_hat, theta, performances=None):
         if os.getpid() != self.home_pid:
             os._exit(17)
-        return super().evaluate(d, s_hat, theta)
+        return super().evaluate(d, s_hat, theta, performances)
 
 
 def run(template, config, n=12):
