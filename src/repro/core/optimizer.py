@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
-
-import numpy as np
 
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
@@ -48,7 +46,7 @@ from ..runtime import (FaultPolicy, FaultTolerantEvaluator,
                        OptimizerCheckpoint, RunBudget, STOP_ABORTED_PREFIX,
                        STOP_CONVERGED, STOP_MAX_ITERATIONS,
                        load_checkpoint, save_checkpoint)
-from ..spec.operating import find_worst_case_operating_points, spec_key
+from ..spec.operating import find_worst_case_operating_points
 from ..statistics.sampling import SampleSet
 from ..yieldsim import (OperationalMC, ShardPlan, SimulatorHealth,
                         YieldEstimator, YieldResult)
@@ -57,7 +55,7 @@ from .coordinate_search import coordinate_search
 from .estimator import LinearizedYieldEstimator
 from .feasible_point import find_feasible_point
 from .line_search import feasibility_line_search
-from .linear_model import SpecLinearModel, build_spec_models
+from .linear_model import build_spec_models
 from .worst_case import WorstCaseResult, find_all_worst_case_points
 
 
@@ -271,17 +269,11 @@ class YieldOptimizer:
             return None, 0, True
         # Lenient mode: a sample the simulator cannot evaluate is a
         # failed sample (counts against the yield), not a failed run.
-        # The shard plan travels by keyword only when set, so
-        # duck-typed verifiers without a ``shard`` parameter keep
-        # working for unsharded runs.
-        kwargs = {}
-        if self.config.verify_shard is not None:
-            kwargs["shard"] = self.config.verify_shard
         with self._guarded.lenient():
             result = self.verifier.estimate(
                 self._guarded, d, theta_wc, n_samples=n,
                 seed=self.config.seed + 17,
-                worst_case=worst_case, **kwargs)
+                worst_case=worst_case, shard=self.config.verify_shard)
         return result, n, shrunk
 
     def _budget_stop(self, start_time: float,
@@ -345,10 +337,6 @@ class YieldOptimizer:
 
     # -- main loop ----------------------------------------------------------------
     def run(self) -> OptimizationResult:
-        config = self.config
-        evaluator = self.evaluator  # raw counters (Table-7 accounting)
-        guarded = self._guarded     # policy-routed evaluation
-        template = self.template
         start_time = time.time()
         wall_offset = 0.0
 
@@ -359,7 +347,7 @@ class YieldOptimizer:
         # evaluation stack is not worker-replicable); results are
         # bit-identical either way.
         from ..yieldsim import PoolHandle
-        pool = PoolHandle.for_evaluator(guarded, config.jobs)
+        pool = PoolHandle.for_evaluator(self._guarded, self.config.jobs)
         self.verifier.pool = pool
         try:
             return self._run_loop(pool, start_time, wall_offset)

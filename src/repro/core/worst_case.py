@@ -179,8 +179,7 @@ def _slsqp_fallback(evaluator: Evaluator, spec: Spec,
                                SLSQP_EPS)
         rows = np.tile(s, (dim, 1))
         np.fill_diagonal(rows, stepped)
-        values = evaluate_probes(None, evaluator,
-                                 [(d, row, theta) for row in rows])
+        values = evaluate_probes(evaluator, [(d, row, theta) for row in rows])
         margins = np.array([spec.normalize(value[spec.performance])
                             for value in values]) - g_bound
         return (margins - f0) / (stepped - s)

@@ -30,6 +30,7 @@ from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List,
 
 import numpy as np
 
+from ..errors import ReproError
 from .template import CircuitTemplate
 
 _LOG = logging.getLogger(__name__)
@@ -78,12 +79,71 @@ def _select(values: Mapping[str, float], wanted: Measured
     return {name: value for name, value in values.items() if name in wanted}
 
 
-class Evaluator:
+class EvaluatorBase:
+    """The conveniences of every evaluator-shaped object, each written
+    once on top of the object's own :meth:`evaluate`, so a wrapper's
+    policy or faults apply to them too."""
+
+    template: CircuitTemplate
+
+    def performance(self, name: str, d: Mapping[str, float],
+                    s_hat: np.ndarray,
+                    theta: Mapping[str, float]) -> float:
+        """One performance value."""
+        return self.evaluate(d, s_hat, theta)[name]
+
+    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
+                theta_per_spec: Mapping[str, Mapping[str, float]]
+                ) -> Dict[str, float]:
+        """Signed spec margins, each evaluated at its own worst-case
+        operating point (keyed by :func:`repro.spec.spec_key`)."""
+        from ..spec.operating import spec_key
+        result: Dict[str, float] = {}
+        for spec in self.template.specs:
+            key = spec_key(spec)
+            values = self.evaluate(d, s_hat, theta_per_spec[key])
+            result[key] = spec.margin(values[spec.performance])
+        return result
+
+
+class EvaluatorWrapper(EvaluatorBase):
+    """Base of the evaluator wrappers (fault tolerance, fault
+    injection): holds the wrapped evaluator and delegates every
+    attribute the wrapper does not define to it — counters, cache,
+    template — so a wrapper drops into any call site that accepts an
+    :class:`Evaluator`."""
+
+    def __init__(self, evaluator):
+        self._inner = evaluator
+
+    def __getattr__(self, name):
+        if name == "_inner":  # guard pickling/copying before __init__ ran
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    @property
+    def inner(self):
+        """The wrapped evaluator."""
+        return self._inner
+
+    def evaluate_batch(self, d: Mapping[str, float],
+                       rows: List[np.ndarray],
+                       theta: Mapping[str, float],
+                       performances: Optional[Collection[str]] = None
+                       ) -> List:
+        """Refused: the wrapped evaluator's batch would skip this
+        wrapper's faults or policy.  Batch a stack through
+        :func:`repro.yieldsim.executor.batched_columns`, which unwraps
+        the stacks it can replicate exactly."""
+        raise ReproError(f"{type(self).__name__} does not batch; use "
+                         "repro.yieldsim.executor.batched_columns")
+
+
+class Evaluator(EvaluatorBase):
     """Counting/caching façade over a circuit template."""
 
-    def __init__(self, template: CircuitTemplate, cache: bool = True):
+    def __init__(self, template: CircuitTemplate):
         self.template = template
-        self.cache_enabled = cache
         self._cache: Dict[Tuple, Entry] = {}
         #: cache writes collected by :meth:`recording` (None: off)
         self._journal: Optional[List[Tuple[Tuple, Entry]]] = None
@@ -143,10 +203,6 @@ class Evaluator:
         rule."""
         self.request_count += 1
         wanted = _wanted(performances)
-        if not self.cache_enabled:
-            self.simulation_count += 1
-            self.cache_misses += 1
-            return self.template.evaluate(d, s_hat, theta, wanted)
         key = self._key(d, s_hat, theta)
         cached = self._cache.get(key)
         if cached is not None and _covers(cached[1], wanted):
@@ -203,11 +259,6 @@ class Evaluator:
         failure left nothing in the cache).
         """
         wanted = _wanted(performances)
-        if not self.cache_enabled:
-            self.request_count += len(rows)
-            self.simulation_count += len(rows)
-            self.cache_misses += len(rows)
-            return self.template.evaluate_batch(d, rows, theta, wanted)
         # The design and theta parts are the same for every row.
         dk = self._design_key(d) if rows else ()
         tk = self._theta_key(theta) if rows else ()
@@ -246,9 +297,9 @@ class Evaluator:
                 except Exception as exc:
                     entry = exc
             if isinstance(entry, BaseException):
-                # Serial parity: in the cached path ``evaluate`` bumps
-                # simulation/miss only *after* the template returns, so
-                # a raising evaluation counts the request alone.
+                # Serial parity: ``evaluate`` bumps simulation/miss only
+                # *after* the template returns, so a raising evaluation
+                # counts the request alone.
                 results.append(entry)
                 continue
             self.simulation_count += 1
@@ -261,26 +312,6 @@ class Evaluator:
         """Functional constraint values c(d) (>= 0 feasible)."""
         self.constraint_count += 1
         return self.template.constraints(d)
-
-    # -- conveniences -----------------------------------------------------------
-    def performance(self, name: str, d: Mapping[str, float],
-                    s_hat: np.ndarray,
-                    theta: Mapping[str, float]) -> float:
-        """One performance value."""
-        return self.evaluate(d, s_hat, theta)[name]
-
-    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
-                theta_per_spec: Mapping[str, Mapping[str, float]]
-                ) -> Dict[str, float]:
-        """Signed spec margins, each evaluated at its own worst-case
-        operating point (keyed by :func:`repro.spec.spec_key`)."""
-        from ..spec.operating import spec_key
-        result: Dict[str, float] = {}
-        for spec in self.template.specs:
-            key = spec_key(spec)
-            values = self.evaluate(d, s_hat, theta_per_spec[key])
-            result[key] = spec.margin(values[spec.performance])
-        return result
 
     def reset_counters(self) -> None:
         """Zero the simulation counters (cache is kept)."""

@@ -12,10 +12,11 @@ absolute step works for ``s``.  Design parameters span decades of physical
 magnitude, so their step is relative.
 
 The probes of one gradient are mutually independent, and
-:func:`~repro.yieldsim.executor.evaluate_probes` runs them: on an
-optional ``pool`` (:class:`~repro.yieldsim.executor.PoolHandle`), else
-the ``s`` probes (dim(s) rows at one ``(d, theta)``) through the
-sample-batched engine in one call.  Every path evaluates bit-identical
+:func:`~repro.yieldsim.executor.evaluate_probes` runs them, on an
+optional ``pool`` (:class:`~repro.yieldsim.executor.PoolHandle`) one
+chunk per worker, else as one chunk in the caller.  Within a chunk the
+``s`` probes (rows at one ``(d, theta)``) go through the sample-batched
+engine, as Monte-Carlo rows do.  Every path evaluates bit-identical
 values, so gradients are bit-identical whichever one ran.
 """
 
@@ -59,44 +60,16 @@ def _design_probes(evaluator: Evaluator, d: Mapping[str, float],
         yield name, step, probe
 
 
-def _differences(evaluator: Evaluator, base: Mapping[str, float],
-                 steps: List[float], points: List[Tuple],
-                 pool) -> Dict[str, List[float]]:
-    """Forward differences of every performance in ``base`` over the
-    ``(d, s_hat, theta)`` probe ``points`` (one per step), evaluated by
-    :func:`~repro.yieldsim.executor.evaluate_probes`."""
+def _differences(evaluator: Evaluator, performance: str,
+                 base_value: float, steps: List[float],
+                 points: List[Tuple], pool) -> List[float]:
+    """Forward differences of ``performance`` from ``base_value`` over
+    the ``(d, s_hat, theta)`` probe ``points`` (one per step), evaluated
+    by :func:`~repro.yieldsim.executor.evaluate_probes`."""
     from ..yieldsim.executor import evaluate_probes
-    values = evaluate_probes(pool, evaluator, points)
-    return {name: [(probe[name] - base[name]) / step
-                   for probe, step in zip(values, steps)]
-            for name in base}
-
-
-def _gradients_s(evaluator: Evaluator, base: Mapping[str, float],
-                 d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float], step: float,
-                 pool) -> Dict[str, np.ndarray]:
-    points = []
-    for k in range(len(s_hat)):
-        probe = s_hat.copy()
-        probe[k] += step
-        points.append((d, probe, theta))
-    columns = _differences(evaluator, base, [step] * len(points), points, pool)
-    return {name: np.array(column, dtype=float)
-            for name, column in columns.items()}
-
-
-def _gradients_d(evaluator: Evaluator, base: Mapping[str, float],
-                 d: Mapping[str, float], s_hat: np.ndarray,
-                 theta: Mapping[str, float], rel_step: float,
-                 pool) -> Dict[str, Dict[str, float]]:
-    probes = list(_design_probes(evaluator, d, rel_step))
-    columns = _differences(evaluator, base,
-                           [step for _, step, _ in probes],
-                           [(probe, s_hat, theta) for _, _, probe in probes],
-                           pool)
-    return {name: dict(zip([pname for pname, _, _ in probes], column))
-            for name, column in columns.items()}
+    values = evaluate_probes(evaluator, points, pool)
+    return [(probe[performance] - base_value) / step
+            for probe, step in zip(values, steps)]
 
 
 def performance_gradient_s(
@@ -116,28 +89,14 @@ def performance_gradient_s(
     s_hat = np.asarray(s_hat, dtype=float)
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    return _gradients_s(evaluator, {performance: base_value}, d, s_hat,
-                        theta, step, pool)[performance]
-
-
-def all_gradients_s(
-    evaluator: Evaluator,
-    d: Mapping[str, float],
-    s_hat: np.ndarray,
-    theta: Mapping[str, float],
-    step: float = STEP_S,
-    pool=None,
-) -> Dict[str, np.ndarray]:
-    """Gradients of *all* template performances w.r.t. ``s_hat`` from one
-    shared set of probes (dim(s)+1 simulations total).
-
-    One simulation evaluates every performance at once (as in a real
-    testbench), so when several specs share an operating point their
-    gradients come at no extra cost.
-    """
-    s_hat = np.asarray(s_hat, dtype=float)
-    base = evaluator.evaluate(d, s_hat, theta)
-    return _gradients_s(evaluator, base, d, s_hat, theta, step, pool)
+    points = []
+    for k in range(len(s_hat)):
+        probe = s_hat.copy()
+        probe[k] += step
+        points.append((d, probe, theta))
+    return np.array(_differences(evaluator, performance, base_value,
+                                 [step] * len(points), points, pool),
+                    dtype=float)
 
 
 def performance_gradient_d(
@@ -157,22 +116,12 @@ def performance_gradient_d(
     """
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    return _gradients_d(evaluator, {performance: base_value}, d, s_hat,
-                        theta, rel_step, pool)[performance]
-
-
-def all_gradients_d(
-    evaluator: Evaluator,
-    d: Mapping[str, float],
-    s_hat: np.ndarray,
-    theta: Mapping[str, float],
-    rel_step: float = STEP_D_REL,
-    pool=None,
-) -> Dict[str, Dict[str, float]]:
-    """Gradients of all performances w.r.t. all design parameters from one
-    shared set of probes (dim(d)+1 simulations)."""
-    base = evaluator.evaluate(d, s_hat, theta)
-    return _gradients_d(evaluator, base, d, s_hat, theta, rel_step, pool)
+    probes = list(_design_probes(evaluator, d, rel_step))
+    column = _differences(evaluator, performance, base_value,
+                          [step for _, step, _ in probes],
+                          [(probe, s_hat, theta) for _, _, probe in probes],
+                          pool)
+    return dict(zip([name for name, _, _ in probes], column))
 
 
 def constraint_jacobian(

@@ -26,10 +26,11 @@ from typing import Callable, Collection, Dict, Iterable, Mapping, Optional
 import numpy as np
 
 from ..errors import ConvergenceError, ReproError
+from ..evaluation.evaluator import EvaluatorWrapper
 from .policy import point_digest
 
 
-class FaultInjectingEvaluator:
+class FaultInjectingEvaluator(EvaluatorWrapper):
     """Evaluator wrapper raising deterministic, seeded faults."""
 
     def __init__(self, evaluator, rate: float = 0.0, seed: int = 0,
@@ -37,7 +38,7 @@ class FaultInjectingEvaluator:
                  error: Callable[[], BaseException] = None):
         if not 0.0 <= rate <= 1.0:
             raise ReproError(f"fault rate must be in [0, 1], got {rate}")
-        self._inner = evaluator
+        super().__init__(evaluator)
         self.rate = float(rate)
         self.seed = int(seed)
         self.schedule = frozenset(int(i) for i in schedule)
@@ -48,16 +49,6 @@ class FaultInjectingEvaluator:
         self.injected_count = 0
         #: evaluate() requests seen so far (basis of scheduled faults)
         self.request_index = 0
-
-    def __getattr__(self, name):
-        if name == "_inner":  # guard pickling/copying before __init__ ran
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped evaluator."""
-        return self._inner
 
     # -- fault decision -----------------------------------------------------------
     def _point_fails(self, d: Mapping[str, float], s_hat: np.ndarray,
@@ -81,19 +72,3 @@ class FaultInjectingEvaluator:
                 self._point_fails(d, s_hat, theta):
             self._raise_fault()
         return self._inner.evaluate(d, s_hat, theta, performances)
-
-    def performance(self, name: str, d: Mapping[str, float],
-                    s_hat: np.ndarray,
-                    theta: Mapping[str, float]) -> float:
-        return self.evaluate(d, s_hat, theta)[name]
-
-    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
-                theta_per_spec: Mapping[str, Mapping[str, float]]
-                ) -> Dict[str, float]:
-        from ..spec.operating import spec_key
-        result: Dict[str, float] = {}
-        for spec in self._inner.template.specs:
-            key = spec_key(spec)
-            values = self.evaluate(d, s_hat, theta_per_spec[key])
-            result[key] = spec.margin(values[spec.performance])
-        return result

@@ -19,8 +19,10 @@ strict mode (a NaN gradient would silently poison the spec-wise linear
 models; better to abort with a partial trace).
 
 Everything else — counters, cache, template access — delegates to the
-wrapped evaluator, so the facade drops into any call site that accepts
-an :class:`Evaluator`.
+wrapped evaluator through the shared
+:class:`~repro.evaluation.evaluator.EvaluatorWrapper` base, whose
+``performance``/``margins`` conveniences run through this facade's own
+``evaluate()`` and so through the policy.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Collection, Dict, Mapping, Optional
 
 import numpy as np
 
+from ..evaluation.evaluator import EvaluatorWrapper
 from .policy import FaultAction, FaultPolicy
 
 #: fail-mode values
@@ -37,12 +40,12 @@ MODE_RAISE = "raise"
 MODE_NAN = "nan"
 
 
-class FaultTolerantEvaluator:
+class FaultTolerantEvaluator(EvaluatorWrapper):
     """Policy-applying evaluator facade (see module docstring)."""
 
     def __init__(self, evaluator, policy: Optional[FaultPolicy] = None,
                  fail_mode: str = MODE_RAISE):
-        self._inner = evaluator
+        super().__init__(evaluator)
         self.policy = policy or FaultPolicy()
         self.fail_mode = fail_mode
         #: evaluations that ended count-as-fail (lenient: NaN returned;
@@ -52,17 +55,6 @@ class FaultTolerantEvaluator:
         self.retried_evaluations = 0
         #: evaluations that failed at least once but succeeded on a retry
         self.recovered_evaluations = 0
-
-    # -- delegation ---------------------------------------------------------------
-    def __getattr__(self, name):
-        if name == "_inner":  # guard pickling/copying before __init__ ran
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped evaluator."""
-        return self._inner
 
     # -- modes --------------------------------------------------------------------
     @contextmanager
@@ -145,20 +137,3 @@ class FaultTolerantEvaluator:
             if self.fail_mode == MODE_RAISE:
                 raise exc
             return self._failure_values(performances)
-
-    # -- conveniences routed through the policy ----------------------------------
-    def performance(self, name: str, d: Mapping[str, float],
-                    s_hat: np.ndarray,
-                    theta: Mapping[str, float]) -> float:
-        return self.evaluate(d, s_hat, theta)[name]
-
-    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
-                theta_per_spec: Mapping[str, Mapping[str, float]]
-                ) -> Dict[str, float]:
-        from ..spec.operating import spec_key
-        result: Dict[str, float] = {}
-        for spec in self._inner.template.specs:
-            key = spec_key(spec)
-            values = self.evaluate(d, s_hat, theta_per_spec[key])
-            result[key] = spec.margin(values[spec.performance])
-        return result

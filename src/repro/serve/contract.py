@@ -21,8 +21,9 @@ re-reading any other file: the template and seed identify the sample
 stream, the estimator/config fields identify the reduction, and
 ``code_version`` pins the producing code.  :func:`load_result_artifact`
 validates an artifact on load and also accepts the *bare*
-``YieldResult.to_dict()`` files older releases wrote (returning an empty
-provenance), so pre-contract shard files keep merging.
+``YieldResult.to_dict()`` record that ``yield --json`` and
+``merge-verify --json`` print (with no provenance), so such records
+merge as shards too.
 
 ``merge-verify`` uses the provenance to reject incompatible shard files
 (:func:`check_merge_compatible`): pooling sufficient statistics from

@@ -32,7 +32,7 @@ from typing import Optional
 from ..errors import ReproError
 from .base import SampleEvaluation, YieldEstimator
 from .executor import (BatchExecutor, BatchOutcome, ExecutionConfig,
-                       PoolHandle, dispatch_points)
+                       PoolHandle)
 from .importance import MeanShiftIS, shifts_from_worst_case
 from .operational import OperationalMC
 from .qmc import SobolQMC
@@ -73,6 +73,6 @@ __all__ = [
     "MeanShiftIS", "OperationalMC", "PhaseTimer", "PoolHandle",
     "RunReport", "SampleEvaluation", "ShardPlan", "SimulatorHealth",
     "SobolQMC", "SpecMoments", "SufficientStats", "YieldEstimator",
-    "YieldResult", "dispatch_points", "make_estimator", "merge_reports",
+    "YieldResult", "make_estimator", "merge_reports",
     "merge_results", "merge_stats", "shifts_from_worst_case",
 ]

@@ -13,9 +13,10 @@ either serially (sharing the caller's cached
   are paid once; a standalone :class:`BatchExecutor` run with
   ``jobs >= 2`` opens one for the call;
 * each worker owns one cached evaluator around the template and runs a
-  task with the same function as the serial path (a Monte-Carlo chunk
-  goes through the sample-batched engine either way), so values are
-  bit-identical to serial evaluation;
+  task with the same function as the serial path: a Monte-Carlo chunk,
+  and a chunk of gradient probes that share ``(d, theta)``, go through
+  :func:`_evaluate_rows` and so the sample-batched engine either way,
+  so values are bit-identical to serial evaluation;
 * :meth:`PoolHandle.run_tasks` is the one dispatch loop.  It waits on
   the tasks in dispatch order, each for the handle's ``task_timeout_s``,
   and re-runs a task that raised serially in the parent.  A timeout or
@@ -140,7 +141,8 @@ def _evaluate_rows(evaluator, d: Mapping[str, float],
     """``values[j][g]`` of every row at every theta, for the theta's
     request in ``performances``: through the sample-batched engine when
     the stack allows it, else the scalar per-row loop.  The serial path
-    and every pooled Monte-Carlo chunk run this one function."""
+    and every pooled Monte-Carlo chunk run this one function, as do
+    gradient probes that share ``(d, theta)``."""
     values = None
     if len(rows) > 1:
         values = batched_columns(evaluator, d, thetas, rows, performances)
@@ -152,10 +154,18 @@ def _evaluate_rows(evaluator, d: Mapping[str, float],
     return values
 
 
-def _evaluate_points(evaluator, points: Sequence[Tuple]
+def _evaluate_probes(evaluator, points: Sequence[Tuple]
                      ) -> List[Dict[str, float]]:
-    """Values at a list of ``(d, s_hat, theta)`` points (the
-    finite-difference gradient probes)."""
+    """Values at the ``(d, s_hat, theta)`` probe ``points``, in order:
+    as rows of :func:`_evaluate_rows` when they share ``(d, theta)``,
+    else one at a time.  The serial path and every pooled probe chunk
+    run this one function."""
+    if points:
+        d, _, theta = points[0]
+        if all(p_d == d and p_theta == theta for p_d, _, p_theta in points):
+            rows = [s_hat for _, s_hat, _ in points]
+            return [values[0] for values in
+                    _evaluate_rows(evaluator, d, [theta], rows)]
     return [dict(evaluator.evaluate(d, s_hat, theta))
             for d, s_hat, theta in points]
 
@@ -177,7 +187,6 @@ class TaskCounts:
 
     requests: int = 0
     hits: int = 0
-    simulations: int = 0
     entries: List[Tuple[Tuple, tuple]] = field(default_factory=list)
     failed: int = 0
     retried: int = 0
@@ -190,10 +199,10 @@ class TaskCounts:
     dc: Dict[str, int] = field(default_factory=dict)
 
 
-def _init_pool_worker(template, cache_enabled: bool) -> None:
+def _init_pool_worker(template) -> None:
     """Pool initializer: one private evaluator per worker, reused across
     tasks (its cache persists, so repeated nominal/gradient points hit)."""
-    _WORKER["evaluator"] = Evaluator(template, cache=cache_enabled)
+    _WORKER["evaluator"] = Evaluator(template)
 
 
 def _warm_stats(evaluator: Evaluator) -> Dict[str, int]:
@@ -220,7 +229,6 @@ def _pool_task(fn: Callable, task: Tuple, policy, fail_mode
         target = guarded = FaultTolerantEvaluator(evaluator, policy,
                                                   fail_mode)
     requests, hits = evaluator.request_count, evaluator.cache_hits
-    simulations = evaluator.simulation_count
     warm0, dc0 = _warm_stats(evaluator), _dc_stats(evaluator)
     with evaluator.recording() as writes:
         value = fn(target, *task)
@@ -228,7 +236,6 @@ def _pool_task(fn: Callable, task: Tuple, policy, fail_mode
     counts = TaskCounts(
         requests=evaluator.request_count - requests,
         hits=evaluator.cache_hits - hits,
-        simulations=evaluator.simulation_count - simulations,
         entries=writes,
         warm=WarmStartCache.counter_delta(_warm_stats(evaluator), warm0)
         if warm0 else {},
@@ -260,10 +267,10 @@ def unwrap_pool_stack(evaluator):
 def fold_task(evaluator, counts: TaskCounts) -> None:
     """Fold one task's effort into the parent evaluation stack.
 
-    With caching on, the fold reconstructs exactly what a serial run
-    would have counted: every write the parent cache does not cover is
-    one simulation + one miss; every write it covers would have been a
-    hit (:meth:`~repro.evaluation.evaluator.Evaluator.absorb_cache`).
+    The fold reconstructs exactly what a serial run would have counted:
+    every write the parent cache does not cover is one simulation + one
+    miss; every write it covers would have been a hit
+    (:meth:`~repro.evaluation.evaluator.Evaluator.absorb_cache`).
     Tasks must be folded in a deterministic order (the dispatch order),
     never completion order.
     """
@@ -271,15 +278,10 @@ def fold_task(evaluator, counts: TaskCounts) -> None:
     maybe = unwrap_pool_stack(evaluator)
     if maybe is not None:
         inner = maybe[0]
-    if inner.cache_enabled:
-        new, duplicate = inner.absorb_cache(counts.entries)
-        inner.absorb_counts(simulations=new, requests=counts.requests,
-                            cache_hits=counts.hits + duplicate,
-                            cache_misses=new)
-    else:
-        inner.absorb_counts(simulations=counts.simulations,
-                            requests=counts.requests,
-                            cache_misses=counts.simulations)
+    new, duplicate = inner.absorb_cache(counts.entries)
+    inner.absorb_counts(simulations=new, requests=counts.requests,
+                        cache_hits=counts.hits + duplicate,
+                        cache_misses=new)
     if counts.failed or counts.retried or counts.recovered:
         if hasattr(evaluator, "failed_evaluations"):
             evaluator.failed_evaluations += counts.failed
@@ -327,13 +329,12 @@ class PoolHandle:
     its serial path, which by construction produces the same results.
     """
 
-    def __init__(self, template, jobs: int, cache_enabled: bool = True,
+    def __init__(self, template, jobs: int,
                  task_timeout_s: Optional[float] = None):
         if jobs < 2:
             raise ReproError(f"a pool needs jobs >= 2, got {jobs}")
         self.template = template
         self.jobs = jobs
-        self.cache_enabled = cache_enabled
         #: per-task wait budget in seconds (None = wait forever)
         self.task_timeout_s = task_timeout_s
         self.tasks_dispatched = 0
@@ -341,7 +342,7 @@ class PoolHandle:
         self._pool = futures.ProcessPoolExecutor(
             max_workers=jobs, mp_context=_pool_context(),
             initializer=_init_pool_worker,
-            initargs=(template, cache_enabled))
+            initargs=(template,))
 
     @classmethod
     def for_evaluator(cls, evaluator, jobs: int,
@@ -354,9 +355,7 @@ class PoolHandle:
         maybe = unwrap_pool_stack(evaluator)
         if maybe is None:
             return None
-        inner = maybe[0]
-        return cls(inner.template, jobs, cache_enabled=inner.cache_enabled,
-                   task_timeout_s=task_timeout_s)
+        return cls(maybe[0].template, jobs, task_timeout_s=task_timeout_s)
 
     @property
     def alive(self) -> bool:
@@ -465,25 +464,6 @@ class PoolHandle:
         self.close()
 
 
-def dispatch_points(pool: Optional[PoolHandle], evaluator,
-                    points: Sequence[Tuple[Mapping[str, float], np.ndarray,
-                                           Mapping[str, float]]]
-                    ) -> Optional[List[Dict[str, float]]]:
-    """Evaluate ``points`` on the pool, one task per worker; returns the
-    value dicts in input order, or None when the pool path is
-    unavailable (caller then runs its serial loop)."""
-    if pool is None or not pool.alive or not pool.compatible(evaluator) \
-            or len(points) < 2:
-        return None
-    plain = [(dict(d), np.asarray(s_hat, dtype=float), dict(theta))
-             for d, s_hat, theta in points]
-    size = max(1, math.ceil(len(plain) / pool.jobs))
-    tasks = [(plain[start:start + size],)
-             for start in range(0, len(plain), size)]
-    run = pool.run_tasks(_evaluate_points, tasks, evaluator)
-    return [value for chunk in run.results for value in chunk]
-
-
 def batched_columns(evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
                     matrix: Sequence[np.ndarray],
@@ -499,8 +479,7 @@ def batched_columns(evaluator, d: Mapping[str, float],
     back to the row-major layout ``values[j][g]``.  Values, cache
     contents and counter totals are identical to the scalar per-row
     loop (the batched engine guarantees bitwise parity; column order
-    only permutes *when* each theta's work happens).  Serves both the
-    Monte-Carlo executor and the finite-difference gradient probes.
+    only permutes *when* each theta's work happens).
 
     Fault handling replicates the serial stack: a row whose first
     attempt raised is resumed through the stack's
@@ -536,31 +515,30 @@ def batched_columns(evaluator, d: Mapping[str, float],
             for j in range(len(rows))]
 
 
-def evaluate_probes(pool: Optional[PoolHandle], evaluator,
+def evaluate_probes(evaluator,
                     points: Sequence[Tuple[Mapping[str, float], np.ndarray,
-                                           Mapping[str, float]]]
+                                           Mapping[str, float]]],
+                    pool: Optional[PoolHandle] = None
                     ) -> List[Dict[str, float]]:
     """Values at the finite-difference probe ``points``, in input order:
     the one probe dispatch behind the Eq.-8/Eq.-16 gradients and the
     SLSQP constraint Jacobian of the worst-case search.
 
-    The probes run on ``pool`` when it is usable
-    (:func:`dispatch_points`), else through the sample-batched engine in
-    one :func:`batched_columns` call when every point shares
-    ``(d, theta)``, else one at a time.  Every path gives bit-identical
-    values, cache entries and counters."""
-    values = dispatch_points(pool, evaluator, points)
-    if values is None and len(points) > 1:
-        d, _, theta = points[0]
-        if all(p_d == d and p_theta == theta for p_d, _, p_theta in points):
-            columns = batched_columns(evaluator, d, [theta],
-                                      [s_hat for _, s_hat, _ in points])
-            if columns is not None:
-                values = [column[0] for column in columns]
-    if values is None:
-        values = [evaluator.evaluate(d, s_hat, theta)
-                  for d, s_hat, theta in points]
-    return values
+    On a usable ``pool`` the probes run as one chunk per worker, else
+    as one chunk in the parent; either way each chunk is one
+    :func:`_evaluate_probes` call, so probes that share ``(d, theta)``
+    go through the sample-batched engine.  Every path gives
+    bit-identical values, cache entries and counters."""
+    if pool is None or not pool.alive or not pool.compatible(evaluator) \
+            or len(points) < 2:
+        return _evaluate_probes(evaluator, points)
+    plain = [(dict(d), np.asarray(s_hat, dtype=float), dict(theta))
+             for d, s_hat, theta in points]
+    size = math.ceil(len(plain) / pool.jobs)
+    tasks = [(plain[start:start + size],)
+             for start in range(0, len(plain), size)]
+    run = pool.run_tasks(_evaluate_probes, tasks, evaluator)
+    return [values for chunk in run.results for values in chunk]
 
 
 # -- driver ------------------------------------------------------------------

@@ -76,19 +76,21 @@ class TestOperationalMonteCarlo:
 
     def test_shared_theta_shares_simulations(self):
         t = TwoSpecTemplate()
-        ev = Evaluator(t, cache=False)
+        ev = Evaluator(t)
         theta_map = {"f1>=": THETA, "f2>=": THETA}  # same corner
         result = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
                                           n_samples=100, seed=3)
         assert result.simulations == 100  # one run covers both specs
+        assert ev.request_count == 100  # one request per sample
 
     def test_distinct_thetas_cost_more(self):
         t = TwoSpecTemplate()
-        ev = Evaluator(t, cache=False)
+        ev = Evaluator(t)
         theta_map = {"f1>=": {"temp": 0.0}, "f2>=": {"temp": 100.0}}
         result = OperationalMC().estimate(ev, {"d0": 1.0}, theta_map,
                                           n_samples=100, seed=4)
         assert result.simulations == 200
+        assert ev.request_count == 200
 
     def test_performance_statistics_recorded(self):
         t = TwoSpecTemplate()

@@ -300,9 +300,9 @@ class TestSlsqpFallback:
         probes = []
         real = worst_case.evaluate_probes
 
-        def spy(pool, evaluator, points):
+        def spy(evaluator, points, pool=None):
             probes.extend(s for _, s, _ in points)
-            return real(pool, evaluator, points)
+            return real(evaluator, points, pool)
 
         monkeypatch.setattr(worst_case, "evaluate_probes", spy)
         s = np.array([BETA_MAX - SCIPY_SLSQP_EPS / 2, -BETA_MAX])

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import LinearTemplate, QuadraticTemplate
-from repro.errors import ReproError
-from repro.evaluation import (Evaluator, all_gradients_d, all_gradients_s,
-                              constraint_jacobian, performance_gradient_d,
-                              performance_gradient_s)
+from repro.errors import ConvergenceError, ReproError
+from repro.evaluation import (Evaluator, constraint_jacobian,
+                              performance_gradient_d, performance_gradient_s)
 from repro.evaluation.template import DesignParameter
+from repro.runtime import FaultInjectingEvaluator, FaultTolerantEvaluator
 
 THETA = {"temp": 27.0}
 
@@ -85,14 +85,6 @@ class TestEvaluatorCounting:
         ev.evaluate({"d0": 1.0, "d1": 0.0}, s, {"temp": 50.0})
         assert ev.simulation_count == 4
 
-    def test_cache_disabled(self):
-        t = LinearTemplate()
-        ev = Evaluator(t, cache=False)
-        s = np.zeros(2)
-        ev.evaluate({"d0": 1.0, "d1": 0.0}, s, THETA)
-        ev.evaluate({"d0": 1.0, "d1": 0.0}, s, THETA)
-        assert ev.simulation_count == 2
-
     def test_reset_counters_keeps_cache(self):
         t = LinearTemplate()
         ev = Evaluator(t)
@@ -118,6 +110,42 @@ class TestEvaluatorCounting:
         assert margins["f>="] == pytest.approx(6.0)
 
 
+class TestWrapperConveniences:
+    """``performance``/``margins`` live once on the shared evaluator
+    base and run through the wrapper's own ``evaluate``, so injected
+    faults and the fault policy reach them."""
+
+    D = {"d0": 1.0, "d1": 0.0}
+
+    def test_injected_fault_reaches_performance(self):
+        injector = FaultInjectingEvaluator(Evaluator(LinearTemplate()),
+                                           schedule=[1])
+        with pytest.raises(ConvergenceError):
+            injector.performance("f", self.D, np.zeros(2), THETA)
+        assert injector.injected_count == 1
+
+    def test_policy_recovers_margins(self):
+        guarded = FaultTolerantEvaluator(FaultInjectingEvaluator(
+            Evaluator(LinearTemplate()), schedule=[1]))
+        margins = guarded.margins(self.D, np.zeros(2), {"f>=": THETA})
+        assert margins["f>="] == pytest.approx(6.0, abs=1e-4)
+        assert guarded.retried_evaluations == 1
+        assert guarded.recovered_evaluations == 1
+
+    @pytest.mark.parametrize("wrap", [
+        lambda ev: FaultInjectingEvaluator(ev, rate=1.0),
+        FaultTolerantEvaluator,
+    ], ids=["injecting", "tolerant"])
+    def test_wrapper_refuses_to_batch(self, wrap):
+        # The inner evaluator's batch would skip the wrapper's faults or
+        # policy, so a wrapper does not hand it out.
+        ev = Evaluator(LinearTemplate())
+        wrapper = wrap(ev)
+        with pytest.raises(ReproError, match="does not batch"):
+            wrapper.evaluate_batch(self.D, [np.zeros(2), np.ones(2)], THETA)
+        assert ev.request_count == 0
+
+
 class TestGradients:
     def test_gradient_s_matches_analytic(self):
         t = LinearTemplate(cs=np.array([2.0, -3.0]))
@@ -140,18 +168,6 @@ class TestGradients:
         grad = performance_gradient_d(ev, "f", {"d0": 10.0, "d1": 0.0},
                                       np.zeros(2), THETA)
         assert grad["d0"] == pytest.approx(4.0, rel=1e-5)
-
-    def test_all_gradients_share_probes(self):
-        t = LinearTemplate()
-        ev = Evaluator(t)
-        all_gradients_s(ev, {"d0": 1.0, "d1": 0.0}, np.zeros(2), THETA)
-        assert ev.simulation_count == 2 + 1  # dim(s) + base
-
-    def test_all_gradients_d_cost(self):
-        t = LinearTemplate()
-        ev = Evaluator(t)
-        all_gradients_d(ev, {"d0": 1.0, "d1": 0.0}, np.zeros(2), THETA)
-        assert ev.simulation_count == 2 + 1  # dim(d) + base
 
     def test_quadratic_gradient_vanishes_on_neutral_line(self):
         t = QuadraticTemplate(dim=3)

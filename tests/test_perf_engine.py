@@ -23,11 +23,10 @@ from repro.circuit.ac import (AcSystem, SECTION_POINTS,
 from repro.circuit.dc import GMIN_FINAL, WarmStartCache, gmin_schedule
 from repro.circuits.base import WARM_KEY_SIG, _warm_rep
 from repro.evaluation.evaluator import Evaluator, _quantize
-from repro.evaluation.gradient import (all_gradients_d, all_gradients_s,
-                                       performance_gradient_d,
+from repro.evaluation.gradient import (performance_gradient_d,
                                        performance_gradient_s)
-from repro.yieldsim import OperationalMC, PoolHandle, dispatch_points
-from repro.yieldsim.executor import unwrap_pool_stack
+from repro.yieldsim import OperationalMC, PoolHandle
+from repro.yieldsim.executor import evaluate_probes, unwrap_pool_stack
 
 
 def rc_lowpass(r=1e3, c=1e-6):
@@ -345,19 +344,40 @@ def linear_pool():
     pool.close()
 
 
+def _counters(evaluator):
+    return (evaluator.simulation_count, evaluator.cache_hits,
+            evaluator.request_count)
+
+
 class TestSharedPool:
-    def test_dispatch_points_matches_serial(self, linear_pool):
-        template, evaluator, pool = linear_pool
+    def test_pooled_probes_match_serial(self, linear_pool):
+        template, _, pool = linear_pool
         d = template.initial_design()
         dim = template.statistical_space.dim
         theta = {"temp": 27.0}
         points = [(d, np.full(dim, 0.05 * i), theta) for i in range(6)]
+        points.append((dict(d, d0=2.0), np.zeros(dim), theta))
         serial = Evaluator(template)
         expected = [serial.evaluate(*p) for p in points]
-        got = dispatch_points(pool, evaluator, points)
-        assert got == expected
-        assert evaluator.simulation_count == serial.simulation_count
-        assert evaluator.cache_hits == serial.cache_hits
+        pooled = Evaluator(template)
+        dispatched = pool.tasks_dispatched
+        assert evaluate_probes(pooled, points, pool) == expected
+        assert pool.tasks_dispatched == dispatched + pool.jobs
+        assert _counters(pooled) == _counters(serial)
+
+    def test_pooled_gradient_s_matches_serial(self, linear_pool):
+        template, _, pool = linear_pool
+        d = template.initial_design()
+        s_hat = np.full(template.statistical_space.dim, 0.3)
+        theta = {"temp": 27.0}
+        serial, pooled = Evaluator(template), Evaluator(template)
+        expected = performance_gradient_s(serial, "f", d, s_hat, theta)
+        dispatched = pool.tasks_dispatched
+        got = performance_gradient_s(pooled, "f", d, s_hat, theta,
+                                     pool=pool)
+        assert pool.tasks_dispatched > dispatched
+        assert got.tobytes() == expected.tobytes()
+        assert _counters(pooled) == _counters(serial)
 
     def test_pooled_mc_matches_serial_bitwise(self, linear_pool):
         template, _, pool = linear_pool
@@ -387,7 +407,10 @@ class TestSharedPool:
         dim = template.statistical_space.dim
         points = [(d, np.full(dim, 0.1 * i), {"temp": 27.0})
                   for i in range(4)]
-        assert dispatch_points(pool, evaluator, points) is None
+        serial = Evaluator(template)
+        assert evaluate_probes(evaluator, points, pool) == \
+            [serial.evaluate(*p) for p in points]
+        assert _counters(evaluator) == _counters(serial)
         estimator = OperationalMC()
         estimator.pool = pool
         result = estimator.estimate(evaluator, d, {"f>=": {"temp": 27.0}},

@@ -91,7 +91,7 @@ class TestCornerAnalysis:
 
     def test_simulation_count(self):
         template = LinearTemplate()
-        evaluator = Evaluator(template, cache=False)
+        evaluator = Evaluator(template)
         report = corner_analysis(evaluator, {"d0": 1.0, "d1": 0.0})
         # (2 globals * 2 + typ) corners x (2 + 1) operating points.
         assert report.simulations == 5 * 3
