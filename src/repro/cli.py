@@ -178,21 +178,23 @@ def cmd_yield(args: argparse.Namespace) -> int:
           f"({report.cache_hits} cache hits, "
           f"{report.theta_groups} worst-case corners, "
           f"backend {report.backend})")
-    warm = getattr(report, "warm_cache", {})
+    # Each pool worker owns a private warm-anchor cache (DESIGN §9).
+    pooled = " (worker totals)" if report.backend == "process-pool" else ""
+    warm = report.warm_cache
     if warm.get("hits", 0) or warm.get("misses", 0):
         chain = ""
         if warm.get("chain_seeds", 0) or warm.get("chain_solves", 0):
             chain = (f", chain seeds/solves "
                      f"{warm.get('chain_seeds', 0)}"
                      f"/{warm.get('chain_solves', 0)}")
-        print(f"warm-start cache: {warm.get('hits', 0)} hits / "
+        print(f"warm-start cache{pooled}: {warm.get('hits', 0)} hits / "
               f"{warm.get('misses', 0)} misses{chain}")
-    dc_effort = getattr(report, "dc_effort", {})
+    dc_effort = report.dc_effort
     if any(dc_effort.values()):
         parts = ", ".join(f"{label} {count}"
                           for label, count in sorted(dc_effort.items())
                           if count)
-        print(f"dc solve strategies: {parts}")
+        print(f"dc solve strategies{pooled}: {parts}")
     if report.retried_chunks:
         print(f"warning: {report.retried_chunks}/{report.chunks} chunks "
               f"re-run serially in the parent "

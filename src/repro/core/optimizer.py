@@ -164,11 +164,13 @@ class OptimizationResult:
     pool_died: bool = False
     #: warm-start cache counters of the template at run end
     #: (hits/misses/chain_seeds/chain_solves/evictions/...), when the
-    #: template exposes them
+    #: template exposes them.  With a shared pool (``pool_tasks > 0``)
+    #: they add up the workers' private anchor caches, so they depend
+    #: on which worker ran which task and vary between identical runs.
     warm_cache: Optional[Dict[str, int]] = None
     #: per-strategy DC solve counters of the template at run end
     #: (newton-warm/newton/gmin-stepping/source-stepping/failed), when
-    #: the template exposes them
+    #: the template exposes them; worker totals like ``warm_cache``
     dc_effort: Optional[Dict[str, int]] = None
 
     @property

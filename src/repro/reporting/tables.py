@@ -165,22 +165,25 @@ def health_table(result: OptimizationResult) -> str:
         rows.append(("pool tasks", str(result.pool_tasks)))
         if result.pool_died:
             rows.append(("pool died", "yes (degraded to serial)"))
+    # Each pool worker owns a private warm-anchor cache: pooled counts
+    # add up the workers' and depend on which worker ran which task.
+    pooled = " (worker totals)" if result.pool_tasks else ""
     warm = result.warm_cache
     if warm and (warm.get("hits", 0) or warm.get("misses", 0)):
-        rows.append(("warm-cache hits/misses",
+        rows.append((f"warm-cache hits/misses{pooled}",
                      f"{warm.get('hits', 0)}/{warm.get('misses', 0)}"))
         if warm.get("chain_seeds", 0) or warm.get("chain_solves", 0):
-            rows.append(("warm-chain seeds/solves",
+            rows.append((f"warm-chain seeds/solves{pooled}",
                          f"{warm.get('chain_seeds', 0)}"
                          f"/{warm.get('chain_solves', 0)}"))
         if warm.get("evictions", 0):
-            rows.append(("warm-cache evictions",
+            rows.append((f"warm-cache evictions{pooled}",
                          str(warm.get("evictions", 0))))
     dc_effort = result.dc_effort
     if dc_effort and any(dc_effort.values()):
         parts = [f"{label}={count}"
                  for label, count in sorted(dc_effort.items()) if count]
-        rows.append(("dc solve strategies", " ".join(parts)))
+        rows.append((f"dc solve strategies{pooled}", " ".join(parts)))
     if result.total_failed_samples:
         rows.append(("failed evaluations",
                      str(result.total_failed_samples)))

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..evaluation.evaluator import Evaluator
 from ..spec.operating import group_by_theta, spec_key
-from ..statistics.intervals import wilson_interval
 from .executor import BatchExecutor, BatchOutcome, ExecutionConfig
 from .result import (KIND_BINOMIAL, SpecMoments, SufficientStats,
                      YieldResult)
@@ -177,48 +176,35 @@ class YieldEstimator(abc.ABC):
     def _binomial_result(self, evaluation: SampleEvaluation,
                          report: RunReport,
                          shard: Optional[ShardPlan] = None) -> YieldResult:
-        """Unweighted reduction shared by OperationalMC and SobolQMC:
-        mean indicator with a Wilson interval."""
+        """Unweighted statistics shared by OperationalMC and SobolQMC:
+        the pass count and per-spec moments over unit weights."""
         n = evaluation.indicator.shape[0]
         passes = int(np.count_nonzero(evaluation.indicator))
-        ci_low, ci_high = wilson_interval(passes, n, self.ci_level)
-        # Performance statistics cover the evaluable samples only: a
-        # failed (NaN) record counts against the yield but carries no
+        # Performance moments cover the evaluable samples only: a failed
+        # (NaN) record counts against the yield but carries no
         # performance value to average.
-        means: Dict[str, float] = {}
-        stds: Dict[str, float] = {}
         moments: Dict[str, SpecMoments] = {}
         for key, values in evaluation.spec_values.items():
             finite = values[np.isfinite(values)]
-            means[key] = float(np.mean(finite)) if finite.size \
-                else float("nan")
-            stds[key] = float(np.std(finite, ddof=1)) \
-                if finite.size > 1 else 0.0
-            bad_count = float(
-                np.count_nonzero(~evaluation.spec_pass[key]))
+            mean = float(np.mean(finite)) if finite.size else 0.0
             moments[key] = SpecMoments(
-                weight=float(finite.size),
-                mean=means[key] if finite.size else 0.0,
-                m2=float(np.sum((finite - means[key]) ** 2))
+                weight=float(finite.size), mean=mean,
+                m2=float(np.sum((finite - mean) ** 2))
                 if finite.size else 0.0,
-                bad_weight=bad_count)
-        # An empty batch (n == 0, e.g. a zero-width shard) carries no
-        # information: estimate 0 with the degenerate full interval from
-        # wilson_interval, never a division by zero.
-        bad = {key: float(np.count_nonzero(~ok)) / n if n else 0.0
-               for key, ok in evaluation.spec_pass.items()}
-        failed = int(np.count_nonzero(evaluation.failed))
+                bad_weight=float(
+                    np.count_nonzero(~evaluation.spec_pass[key])))
         stats = SufficientStats(
-            kind=KIND_BINOMIAL, n=n, successes=passes, failed=failed,
+            kind=KIND_BINOMIAL, n=n, successes=passes,
+            failed=int(np.count_nonzero(evaluation.failed)),
             log_shift=0.0, w_sum=float(n), w_sq_sum=float(n),
             w_pass_sum=float(passes), w_sq_pass_sum=float(passes),
             spec=moments)
-        return YieldResult(
-            estimator=self.name, estimate=passes / n if n else 0.0,
-            n_samples=n,
-            simulations=report.simulations, ci_low=ci_low, ci_high=ci_high,
-            ci_level=self.ci_level, ess=float(n), bad_fraction=bad,
-            performance_mean=means, performance_std=stds,
-            failed_samples=failed, report=report, stats=stats,
+        return self._result(stats, report, shard)
+
+    def _result(self, stats: SufficientStats, report: RunReport,
+                shard: Optional[ShardPlan]) -> YieldResult:
+        """This run's record, rendered from its statistics."""
+        return YieldResult.from_stats(
+            self.name, stats, self.ci_level, report.simulations, report,
             shard_index=None if shard is None else shard.index,
             shard_total=None if shard is None else shard.total)

@@ -27,7 +27,10 @@ either serially (sharing the caller's cached
 * workers ship back the **cache writes** each task made plus its
   warm-start, DC-effort and fault-policy counter deltas; the parent
   folds them in dispatch order via :func:`fold_task`, which reproduces
-  a serial run's cache and every Table-7 counter;
+  a serial run's cache and every Table-7 counter.  The warm-start and
+  DC-effort counts are totals over the workers instead: each worker
+  owns a private anchor cache, so they depend on which worker ran
+  which task;
 * an evaluation stack the workers cannot replicate (e.g. a
   fault-injecting wrapper, whose call-order state lives in the parent)
   runs serially.
@@ -89,13 +92,11 @@ class BatchOutcome:
     ``values[j][g]`` is the performance dict of sample ``j`` at operating
     point (theta group) ``g``, holding the performances requested there —
     ordering matches the input matrix exactly, regardless of backend.
+    The effort (simulations, cache hits) is read off the evaluator,
+    whose counters include the folded worker effort.
     """
 
     values: List[List[Dict[str, float]]]
-    simulations: int = 0
-    requests: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     backend: str = "serial"
     jobs: int = 1
     chunks: int = 0
@@ -607,15 +608,9 @@ class BatchExecutor:
                     thetas: Sequence[Mapping[str, float]],
                     matrix: np.ndarray,
                     performances: Requests) -> BatchOutcome:
-        before = (evaluator.simulation_count, evaluator.request_count,
-                  evaluator.cache_hits, evaluator.cache_misses)
-        values = _evaluate_rows(evaluator, d, thetas, matrix, performances)
         return BatchOutcome(
-            values=values,
-            simulations=evaluator.simulation_count - before[0],
-            requests=evaluator.request_count - before[1],
-            cache_hits=evaluator.cache_hits - before[2],
-            cache_misses=evaluator.cache_misses - before[3],
+            values=_evaluate_rows(evaluator, d, thetas, matrix,
+                                  performances),
             backend="serial", jobs=1, chunks=1)
 
     def _run_pooled(self, pool: PoolHandle, evaluator,
@@ -623,7 +618,6 @@ class BatchExecutor:
                     thetas: Sequence[Mapping[str, float]],
                     matrix: np.ndarray,
                     performances: Requests) -> BatchOutcome:
-        inner = unwrap_pool_stack(evaluator)[0]
         n = matrix.shape[0]
         size = self.config.chunk_size \
             or max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
@@ -640,16 +634,10 @@ class BatchExecutor:
                     f"batch chunk failed in the pool and again on its "
                     f"in-parent re-run: {exc}") from exc
 
-        before = (inner.simulation_count, inner.request_count,
-                  inner.cache_hits, inner.cache_misses)
         run = pool.run_tasks(_evaluate_rows, tasks, evaluator, rerun)
         return BatchOutcome(
             values=[per_theta for chunk in run.results
                     for per_theta in chunk],
-            simulations=inner.simulation_count - before[0],
-            requests=inner.request_count - before[1],
-            cache_hits=inner.cache_hits - before[2],
-            cache_misses=inner.cache_misses - before[3],
             backend="process-pool", jobs=pool.jobs, chunks=len(tasks),
             retried_chunks=run.rerun, timed_out_chunks=run.timed_out,
             degraded_to_serial=run.died)

@@ -22,6 +22,9 @@ with a delta-method standard error and the effective sample size
 ``ESS = (sum w)^2 / sum w^2`` reported as the honesty diagnostic.  When no
 sample lands in the rare region at all, the interval falls back to a
 rule-of-three bound on the ESS instead of reporting a zero-width CI.
+The estimator accumulates only the weight sums and per-spec weighted
+moments; :meth:`~repro.yieldsim.result.YieldResult.from_stats` renders
+the estimate, interval and ESS from them, as it does for a shard merge.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from scipy.special import logsumexp
 
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
-from ..statistics.intervals import normal_interval
 from ..statistics.sampling import SampleSet
 from .base import SampleEvaluation, YieldEstimator
 from .result import (KIND_WEIGHTED, SpecMoments, SufficientStats,
@@ -178,59 +180,27 @@ class MeanShiftIS(YieldEstimator):
                          log_w: np.ndarray, report: RunReport,
                          shard: Optional[ShardPlan] = None
                          ) -> YieldResult:
+        """The self-normalized weight sums and per-spec weighted moments
+        at this stream's log scale."""
         n = log_w.shape[0]
         if n == 0:
-            # An empty stream (zero-width shard): no weights, no ESS, and
-            # the degenerate full interval instead of max()/divide-by-zero
-            # crashes on the empty arrays below.
-            stats = SufficientStats(kind=KIND_WEIGHTED, n=0, successes=0,
-                                    failed=0, log_shift=0.0, w_sum=0.0,
-                                    w_sq_sum=0.0, w_pass_sum=0.0,
-                                    w_sq_pass_sum=0.0)
-            return YieldResult(
-                estimator=self.name, estimate=0.0, n_samples=0,
-                simulations=report.simulations, ci_low=0.0, ci_high=1.0,
-                ci_level=self.ci_level, ess=0.0, failed_samples=0,
-                report=report, stats=stats,
-                shard_index=None if shard is None else shard.index,
-                shard_total=None if shard is None else shard.total)
+            # An empty stream (zero-width shard) has no weights to scale:
+            # all-zero statistics, rendered as the estimate 0 with the
+            # degenerate full interval.
+            return self._result(
+                SufficientStats(kind=KIND_WEIGHTED, n=0, successes=0),
+                report, shard)
         log_shift = float(np.max(log_w))
         w = np.exp(log_w - log_shift)
         w_sum = float(np.sum(w))
         w_norm = w / w_sum
-        ess = 1.0 / float(np.sum(w_norm ** 2))
 
-        indicator = evaluation.indicator.astype(float)
-        all_pass = bool(np.all(evaluation.indicator))
-        none_pass = not np.any(evaluation.indicator)
-        # Snap the degenerate cases to the exact edge (the weighted sum
-        # carries float residue, e.g. 0.999...97 when every sample passes).
-        if none_pass:
-            estimate = 0.0
-        elif all_pass:
-            estimate = 1.0
-        else:
-            estimate = float(w_norm @ indicator)
-        # Delta-method standard error of the self-normalized ratio.
-        se = float(np.sqrt(np.sum((w_norm * (indicator - estimate)) ** 2)))
-        ci_low, ci_high = normal_interval(estimate, se, self.ci_level)
-        # Degenerate tails: with zero observed passes (or failures) the
-        # delta method collapses to a zero-width interval; fall back to a
-        # rule-of-three bound on the effective sample size.
-        three = min(1.0, 3.0 / max(ess, 1.0))
-        if none_pass:
-            ci_high = max(ci_high, three)
-        elif all_pass:
-            ci_low = min(ci_low, 1.0 - three)
-
-        means = {}
-        stds = {}
         moments = {}
         for key, values in evaluation.spec_values.items():
             # Failed (NaN) samples keep their weight in the yield and
-            # bad-fraction estimates (they fail every spec) but are
-            # excluded from the performance statistics, which describe
-            # the evaluable population only.
+            # bad-fraction sums (they fail every spec) but are excluded
+            # from the performance moments, which describe the evaluable
+            # population only.
             finite = np.isfinite(values)
             w_finite = float(np.sum(w_norm[finite]))
             if w_finite > 0.0:
@@ -238,20 +208,13 @@ class MeanShiftIS(YieldEstimator):
                 mean = float(w_cond @ values[finite])
                 var = float(w_cond @ (values[finite] - mean) ** 2)
             else:
-                mean, var = float("nan"), 0.0
-            means[key] = mean
-            stds[key] = float(np.sqrt(max(var, 0.0)))
-            # Shard-scale accumulators: weights exp(log_w - log_shift);
-            # merge rescales shards onto a common shift before pooling.
+                mean, var = 0.0, 0.0
             finite_weight = float(np.sum(w[finite]))
             moments[key] = SpecMoments(
-                weight=finite_weight,
-                mean=mean if w_finite > 0.0 else 0.0,
+                weight=finite_weight, mean=mean,
                 m2=max(var, 0.0) * finite_weight,
                 bad_weight=float(
                     np.sum(w[~evaluation.spec_pass[key]])))
-        bad = {key: float(w_norm @ (~ok).astype(float))
-               for key, ok in evaluation.spec_pass.items()}
         passing = evaluation.indicator
         stats = SufficientStats(
             kind=KIND_WEIGHTED, n=n,
@@ -261,13 +224,6 @@ class MeanShiftIS(YieldEstimator):
             w_sum=w_sum,
             w_sq_sum=float(np.sum(w * w)),
             w_pass_sum=float(np.sum(w[passing])),
-            w_sq_pass_sum=float(np.sum(w[passing] ** 2)))
-        stats.spec = moments
-        return YieldResult(
-            estimator=self.name, estimate=estimate, n_samples=n,
-            simulations=report.simulations, ci_low=ci_low, ci_high=ci_high,
-            ci_level=self.ci_level, ess=ess, bad_fraction=bad,
-            performance_mean=means, performance_std=stds,
-            failed_samples=stats.failed, report=report, stats=stats,
-            shard_index=None if shard is None else shard.index,
-            shard_total=None if shard is None else shard.total)
+            w_sq_pass_sum=float(np.sum(w[passing] ** 2)),
+            spec=moments)
+        return self._result(stats, report, shard)

@@ -13,16 +13,17 @@ estimators, the weight sums ``sum w`` / ``sum w^2`` for self-normalized
 importance sampling, and per-spec weighted moment accumulators.  All
 three estimators are linear in their sample streams, so two results over
 disjoint streams combine *exactly* by pooling these statistics
-(:func:`repro.yieldsim.shard.merge_results`) — the frozen
-``ci_low/ci_high`` numbers are a rendering of the statistics, not the
-record of truth.
+(:func:`repro.yieldsim.shard.merge_results`).  The estimate, interval,
+ESS and per-spec numbers are a rendering of the statistics, not the
+record of truth: :meth:`YieldResult.from_stats` is the one place that
+renders them, for every estimator's direct run and for every merge.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .telemetry import RunReport
@@ -53,9 +54,10 @@ class SpecMoments:
     #: total weight of spec-violating samples (count for binomial)
     bad_weight: float = 0.0
 
-    def to_dict(self) -> Dict:
-        return {"weight": self.weight, "mean": self.mean, "m2": self.m2,
-                "bad_weight": self.bad_weight}
+    def std(self, ddof: float) -> float:
+        """``sqrt(m2 / (weight - ddof))``; 0 without that much weight."""
+        dof = self.weight - ddof
+        return math.sqrt(max(self.m2, 0.0) / dof) if dof > 0.0 else 0.0
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SpecMoments":
@@ -99,34 +101,24 @@ class SufficientStats:
     spec: Dict[str, SpecMoments] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "successes": self.successes,
-            "failed": self.failed,
-            "log_shift": self.log_shift,
-            "w_sum": self.w_sum,
-            "w_sq_sum": self.w_sq_sum,
-            "w_pass_sum": self.w_pass_sum,
-            "w_sq_pass_sum": self.w_sq_pass_sum,
-            "spec": {key: moments.to_dict()
-                     for key, moments in self.spec.items()},
-        }
+        """Every field in declaration order, ``spec`` as plain dicts."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SufficientStats":
+        """Inverse of :meth:`to_dict`: every field is required."""
         return cls(
             kind=data["kind"],
             n=int(data["n"]),
             successes=int(data["successes"]),
-            failed=int(data.get("failed", 0)),
-            log_shift=float(data.get("log_shift", 0.0)),
-            w_sum=float(data.get("w_sum", 0.0)),
-            w_sq_sum=float(data.get("w_sq_sum", 0.0)),
-            w_pass_sum=float(data.get("w_pass_sum", 0.0)),
-            w_sq_pass_sum=float(data.get("w_sq_pass_sum", 0.0)),
+            failed=int(data["failed"]),
+            log_shift=float(data["log_shift"]),
+            w_sum=float(data["w_sum"]),
+            w_sq_sum=float(data["w_sq_sum"]),
+            w_pass_sum=float(data["w_pass_sum"]),
+            w_sq_pass_sum=float(data["w_sq_pass_sum"]),
             spec={key: SpecMoments.from_dict(moments)
-                  for key, moments in data.get("spec", {}).items()})
+                  for key, moments in data["spec"].items()})
 
 
 @dataclass
@@ -175,6 +167,36 @@ class YieldResult:
     #: the per-shard run reports of a merged record (provenance for the
     #: health tables; ``report`` is their fold)
     shard_reports: List[RunReport] = field(default_factory=list)
+
+    @classmethod
+    def from_stats(cls, estimator: str, stats: SufficientStats,
+                   ci_level: float, simulations: int,
+                   report: Optional[RunReport] = None,
+                   **provenance) -> "YieldResult":
+        """Render ``stats`` as a record: the estimate, the interval at
+        ``ci_level``, the ESS, and per spec the bad fraction, mean and
+        standard deviation.  ``provenance`` sets the shard fields
+        (``shard_index``, ``shard_total``, ``merged_from``,
+        ``shard_reports``)."""
+        estimate = _stats_estimate(stats)
+        ci_low, ci_high = _stats_interval(stats, estimate, ci_level)
+        binomial = stats.kind == KIND_BINOMIAL
+        denom = float(stats.n) if binomial else stats.w_sum
+        spec = stats.spec.items()
+        # Moments cover the evaluable samples only.  Binomial streams
+        # report the sample (n - 1) deviation, weighted streams the
+        # self-normalized population deviation.
+        return cls(
+            estimator=estimator, estimate=estimate, n_samples=stats.n,
+            simulations=simulations, ci_low=ci_low, ci_high=ci_high,
+            ci_level=ci_level, ess=_stats_ess(stats), stats=stats,
+            bad_fraction={key: m.bad_weight / denom if denom else 0.0
+                          for key, m in spec},
+            performance_mean={key: m.mean if m.weight > 0.0 else math.nan
+                              for key, m in spec},
+            performance_std={key: m.std(1.0 if binomial else 0.0)
+                             for key, m in spec},
+            failed_samples=stats.failed, report=report, **provenance)
 
     @property
     def standard_error(self) -> float:
@@ -227,8 +249,9 @@ class YieldResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "YieldResult":
-        """Inverse of :meth:`to_dict`; used by checkpoint restore."""
-        report = data.get("report")
+        """Inverse of :meth:`to_dict` (every field is required); used by
+        checkpoint restore and the artifact readers."""
+        report = data["report"]
         return cls(
             estimator=data["estimator"],
             estimate=float(data["estimate"]),
@@ -239,17 +262,17 @@ class YieldResult:
             ci_level=float(data["ci_level"]),
             ess=float(data["ess"]),
             stats=SufficientStats.from_dict(data["stats"]),
-            bad_fraction=dict(data.get("bad_fraction", {})),
-            performance_mean=dict(data.get("performance_mean", {})),
-            performance_std=dict(data.get("performance_std", {})),
-            failed_samples=int(data.get("failed_samples", 0)),
+            bad_fraction=dict(data["bad_fraction"]),
+            performance_mean=dict(data["performance_mean"]),
+            performance_std=dict(data["performance_std"]),
+            failed_samples=int(data["failed_samples"]),
             report=None if report is None
             else RunReport.from_dict(report),
-            shard_index=data.get("shard_index"),
-            shard_total=data.get("shard_total"),
-            merged_from=int(data.get("merged_from", 0)),
+            shard_index=data["shard_index"],
+            shard_total=data["shard_total"],
+            merged_from=int(data["merged_from"]),
             shard_reports=[RunReport.from_dict(entry)
-                           for entry in data.get("shard_reports", [])])
+                           for entry in data["shard_reports"]])
 
 
 # -- deriving presentation numbers from sufficient statistics ----------------

@@ -16,14 +16,15 @@ wall clock, not the math.  This module provides both halves:
 
 * :func:`merge_results` — pools the :class:`~repro.yieldsim.result.
   SufficientStats` of per-shard :class:`YieldResult` records: success
-  counts for MC/QMC (the merged Wilson interval is recomputed from the
-  pooled ``k, N``), rescaled weight sums ``sum w`` / ``sum w^2`` for IS
-  (the pooled delta-method interval and ESS follow), per-spec weighted
-  moments via Chan's parallel-variance combine, and telemetry folded
-  through :func:`merge_reports` / :class:`~repro.yieldsim.telemetry.
-  SimulatorHealth`.  Merging a single shard returns that shard's record
-  unchanged (the algebraic identity), so a ``1/1`` shard-and-merge is
-  bit-identical to the unsharded run.
+  counts for MC/QMC, rescaled weight sums ``sum w`` / ``sum w^2`` for
+  IS, per-spec weighted moments via Chan's parallel-variance combine,
+  and telemetry folded through :func:`merge_reports` /
+  :class:`~repro.yieldsim.telemetry.SimulatorHealth`.  The pooled
+  statistics are rendered by :meth:`YieldResult.from_stats`, the same
+  rendering every estimator's direct run goes through (the Wilson
+  interval from the pooled ``k, N``; the delta-method interval and ESS
+  from the pooled sums).  Pooling one part is the identity, so a
+  ``1/1`` shard-and-merge is bit-identical to the unsharded run.
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ReproError
-from .result import (KIND_BINOMIAL, KIND_WEIGHTED, SpecMoments,
-                     SufficientStats, YieldResult, _stats_ess,
-                     _stats_estimate, _stats_interval,
-                     _weighted_standard_error)
+from .result import KIND_WEIGHTED, SpecMoments, SufficientStats, YieldResult
 from .telemetry import RunReport
 
 _SHARD_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$")
@@ -253,12 +251,12 @@ def merge_results(results: Sequence[YieldResult],
                   level: Optional[float] = None) -> YieldResult:
     """Combine per-shard yield results into the pooled estimate.
 
-    All inputs must come from the same estimator.  The merged record's
-    interval/SE/ESS are recomputed from the pooled statistics at
-    ``level`` (default: the shards' common ``ci_level``); telemetry
-    folds through :func:`merge_reports` and the per-shard reports are
-    retained as provenance.  Merging a
-    single result returns it unchanged apart from provenance — the
+    All inputs must come from the same estimator.  The merged record is
+    :meth:`YieldResult.from_stats` of the pooled statistics at ``level``
+    (default: the shards' common ``ci_level``); telemetry folds through
+    :func:`merge_reports` and the per-shard reports are retained as
+    provenance.  ``merge_stats([s])`` is ``s`` bit for bit, so merging
+    a single result re-renders it unchanged at its own level — the
     1-shard merge is bit-identical to the unsharded run.
     """
     results = list(results)
@@ -279,46 +277,9 @@ def merge_results(results: Sequence[YieldResult],
     shard_total = _check_provenance(results)
     reports = [result.report for result in results
                if result.report is not None]
-    if len(results) == 1:
-        single = results[0]
-        return replace(single, merged_from=1, shard_index=None,
-                       shard_total=shard_total,
-                       shard_reports=list(reports))
-
-    stats = merge_stats([result.stats for result in results])
-    estimate = _stats_estimate(stats)
-    ci_low, ci_high = _stats_interval(stats, estimate, level)
-    bad_fraction = {}
-    means = {}
-    stds = {}
-    denom = float(stats.n) if stats.kind == KIND_BINOMIAL else stats.w_sum
-    for key, moments in stats.spec.items():
-        bad_fraction[key] = moments.bad_weight / denom if denom else 0.0
-        if moments.weight > 0.0:
-            means[key] = moments.mean
-        else:
-            means[key] = float("nan")
-        if stats.kind == KIND_BINOMIAL:
-            stds[key] = math.sqrt(max(moments.m2, 0.0)
-                                  / (moments.weight - 1.0)) \
-                if moments.weight > 1.0 else 0.0
-        else:
-            stds[key] = math.sqrt(max(moments.m2, 0.0) / moments.weight) \
-                if moments.weight > 0.0 else 0.0
-    return YieldResult(
-        estimator=results[0].estimator,
-        estimate=estimate,
-        n_samples=stats.n,
-        simulations=sum(result.simulations for result in results),
-        ci_low=ci_low, ci_high=ci_high, ci_level=level,
-        ess=_stats_ess(stats),
-        bad_fraction=bad_fraction,
-        performance_mean=means,
-        performance_std=stds,
-        failed_samples=stats.failed,
-        report=merge_reports(reports),
-        stats=stats,
-        shard_index=None,
-        shard_total=shard_total,
-        merged_from=len(results),
-        shard_reports=list(reports))
+    return YieldResult.from_stats(
+        results[0].estimator,
+        merge_stats([result.stats for result in results]), level,
+        sum(result.simulations for result in results),
+        merge_reports(reports), shard_total=shard_total,
+        merged_from=len(results), shard_reports=reports)

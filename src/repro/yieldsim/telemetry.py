@@ -51,12 +51,14 @@ class RunReport:
     #: warm-start cache counter *deltas* accrued during this run
     #: (hits/misses/chain_seeds/chain_solves/evictions), when the
     #: template exposes a warm cache; empty otherwise.  Additive across
-    #: shards/workers like the other counters.
+    #: shards.  On the process-pool backend they are totals over the
+    #: workers, each with a private anchor cache, so they depend on
+    #: which worker ran which task.
     warm_cache: Dict[str, int] = field(default_factory=dict)
     #: per-strategy DC solve counter *deltas* accrued during this run
     #: (newton-warm/newton/gmin-stepping/source-stepping/failed), when
     #: the template exposes DC effort counters; empty otherwise.
-    #: Additive across shards/workers like the other counters.
+    #: Additive across shards; worker totals like ``warm_cache``.
     dc_effort: Dict[str, int] = field(default_factory=dict)
     #: wall time per phase, seconds
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -94,31 +96,29 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunReport":
-        """Inverse of :meth:`to_dict` (``wall_time_s`` is derived and
-        ignored); used by checkpoint restore."""
+        """Inverse of :meth:`to_dict`: every field is required
+        (``wall_time_s`` is derived and ignored); used by checkpoint
+        restore and the artifact readers."""
         return cls(
-            estimator=data.get("estimator", ""),
-            n_samples=int(data.get("n_samples", 0)),
-            theta_groups=int(data.get("theta_groups", 0)),
-            simulations=int(data.get("simulations", 0)),
-            requests=int(data.get("requests", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            backend=data.get("backend", "serial"),
-            jobs=int(data.get("jobs", 1)),
-            chunks=int(data.get("chunks", 0)),
-            retried_chunks=int(data.get("retried_chunks", 0)),
-            timed_out_chunks=int(data.get("timed_out_chunks", 0)),
-            failed_samples=int(data.get("failed_samples", 0)),
-            retried_evaluations=int(data.get("retried_evaluations", 0)),
-            degraded_to_serial=bool(data.get("degraded_to_serial",
-                                             False)),
-            pool_incompatible=bool(data.get("pool_incompatible", False)),
-            warm_cache={k: int(v)
-                        for k, v in data.get("warm_cache", {}).items()},
-            dc_effort={k: int(v)
-                       for k, v in data.get("dc_effort", {}).items()},
-            phase_seconds=dict(data.get("phase_seconds", {})))
+            estimator=data["estimator"],
+            n_samples=int(data["n_samples"]),
+            theta_groups=int(data["theta_groups"]),
+            simulations=int(data["simulations"]),
+            requests=int(data["requests"]),
+            cache_hits=int(data["cache_hits"]),
+            cache_misses=int(data["cache_misses"]),
+            backend=data["backend"],
+            jobs=int(data["jobs"]),
+            chunks=int(data["chunks"]),
+            retried_chunks=int(data["retried_chunks"]),
+            timed_out_chunks=int(data["timed_out_chunks"]),
+            failed_samples=int(data["failed_samples"]),
+            retried_evaluations=int(data["retried_evaluations"]),
+            degraded_to_serial=bool(data["degraded_to_serial"]),
+            pool_incompatible=bool(data["pool_incompatible"]),
+            warm_cache={k: int(v) for k, v in data["warm_cache"].items()},
+            dc_effort={k: int(v) for k, v in data["dc_effort"].items()},
+            phase_seconds=dict(data["phase_seconds"]))
 
 
 @dataclass

@@ -197,15 +197,17 @@ class TestFaultClassificationParity:
         stack."""
         def run(scalar):
             template = _FaultyMiller(hard_below=87.5)
+            evaluator = Evaluator(template)
             guarded = FaultTolerantEvaluator(
-                _stack(Evaluator(template), scalar),
+                _stack(evaluator, scalar),
                 FaultPolicy(actions={RuntimeError: FaultAction.RETRY}),
                 fail_mode="nan")
             d = template.initial_design()
             theta = template.operating_range.nominal()
             matrix = np.stack(_rows(template, 8, 11))
             outcome = BatchExecutor().run(guarded, d, [theta], matrix)
-            return (outcome.values, outcome.simulations, outcome.requests,
+            return (outcome.values, evaluator.simulation_count,
+                    evaluator.request_count,
                     guarded.failed_evaluations, guarded.retried_evaluations,
                     guarded.recovered_evaluations,
                     template.warm_cache_stats())

@@ -629,6 +629,17 @@ class TestReporting:
                             max_iterations=1, seed=11, jobs=2)).run()
         text = health_table(result)
         assert "pool workers" in text and "pool tasks" in text
+        # LinearTemplate has no warm cache: give the record the counts a
+        # circuit template reports.  Pooled, they are worker totals.
+        from dataclasses import replace
+        counted = replace(result, warm_cache={"hits": 5, "misses": 2},
+                          dc_effort={"newton-warm": 7})
+        text = health_table(counted)
+        assert "warm-cache hits/misses (worker totals) : 5/2" in text
+        assert "dc solve strategies (worker totals)" in text
+        serial = health_table(replace(counted, pool_tasks=0))
+        assert "warm-cache hits/misses" in serial
+        assert "worker totals" not in serial
 
     def test_health_table_empty_for_clean_serial_run(self):
         from repro.core import OptimizerConfig, YieldOptimizer

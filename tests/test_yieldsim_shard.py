@@ -14,6 +14,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +391,90 @@ class TestResultStatistics:
                                                                    0.99)
 
 
+#: the record fields :meth:`YieldResult.from_stats` derives from ``stats``
+DERIVED_KEYS = ("estimator", "estimate", "n_samples", "ci_low", "ci_high",
+                "ci_level", "ess", "bad_fraction", "performance_mean",
+                "performance_std", "failed_samples")
+
+
+def derived_text(result):
+    """The derived fields as text: ``repr`` round-trips every float, so
+    equal text is bitwise equality (NaN and -0.0 included)."""
+    data = result.to_dict()
+    return json.dumps({key: data[key] for key in DERIVED_KEYS},
+                      sort_keys=True)
+
+
+class TestOneRendering:
+    """Every record, direct or merged, is ``YieldResult.from_stats`` of
+    its own sufficient statistics."""
+
+    @staticmethod
+    def records(name):
+        """A direct run, its three shards and their merge."""
+        _, ev = linear_setup(offset=-0.4)
+        wc = find_all_worst_case_points(ev, D, THETA, seed=3) \
+            if name == "is" else None
+        cls = {"mc": OperationalMC, "qmc": SobolQMC, "is": MeanShiftIS}[name]
+        direct = cls().estimate(Evaluator(LinearTemplate(offset=-0.4)), D,
+                                THETA, n_samples=120, seed=5,
+                                worst_case=wc)
+        shards = [cls().estimate(Evaluator(LinearTemplate(offset=-0.4)),
+                                 D, THETA, n_samples=120, seed=5,
+                                 worst_case=wc, shard=ShardPlan(i, 3))
+                  for i in range(3)]
+        return [direct] + shards + [merge_results(shards)]
+
+    @pytest.mark.parametrize("name", ["mc", "qmc", "is"])
+    def test_every_derived_field_renders_from_the_stats(self, name):
+        records = self.records(name)
+        assert 0.0 < records[0].estimate < 1.0
+        for result in records:
+            rendered = YieldResult.from_stats(
+                result.estimator, result.stats, result.ci_level,
+                result.simulations)
+            assert derived_text(result) == derived_text(rendered)
+
+    def test_single_merge_renders_at_the_requested_level(self):
+        result = OperationalMC().estimate(
+            Evaluator(LinearTemplate()), D, THETA, n_samples=40, seed=7)
+        assert result.ci_level == 0.95
+        merged = merge_results([result], level=0.99)
+        assert merged.ci_level == 0.99
+        assert (merged.ci_low, merged.ci_high) == \
+            result.confidence_interval(0.99)
+        assert (merged.ci_low, merged.ci_high) != \
+            (result.ci_low, result.ci_high)
+        assert merged.estimate == result.estimate
+
+
+class TestStrictReaders:
+    """The readers require every field the writers write."""
+
+    @staticmethod
+    def full_record():
+        result = OperationalMC().estimate(
+            Evaluator(LinearTemplate()), D, THETA, n_samples=20, seed=7,
+            shard=ShardPlan(0, 2))
+        return merge_results([result]).to_dict()
+
+    @pytest.mark.parametrize("path", [(), ("stats",), ("report",),
+                                      ("shard_reports", 0)],
+                             ids=["result", "stats", "report",
+                                  "shard_report"])
+    def test_every_missing_field_is_refused(self, path):
+        data = self.full_record()
+        assert YieldResult.from_dict(data).to_dict() == data
+        keys = [key for key in reduce(getitem, path, data)
+                if key != "wall_time_s"]
+        assert keys
+        for key in keys:
+            broken = json.loads(json.dumps(data))
+            del reduce(getitem, path, broken)[key]
+            with pytest.raises(KeyError):
+                YieldResult.from_dict(broken)
+
+
 class TestOptimizerShardedVerification:
     def quick_config(self, **overrides):
         defaults = dict(max_iterations=2, n_samples_linear=400,
@@ -614,6 +700,30 @@ class TestCli:
         capsys.readouterr()
         with pytest.raises(SystemExit, match="template"):
             main(["merge-verify"] + paths)
+
+    @pytest.mark.parametrize("block,key", [("stats", "w_sum"),
+                                           ("report", "cache_hits")])
+    def test_merge_verify_rejects_a_missing_field(self, tmp_path, capsys,
+                                                  block, key):
+        from repro.cli import main
+        paths = []
+        for index in (1, 2):
+            out = str(tmp_path / f"shard{index}.json")
+            assert main(["yield", "ota", "--estimator", "qmc",
+                         "--samples", "16", "--seed", "3",
+                         "--shard", f"{index}/2", "--out", out]) == 0
+            paths.append(out)
+        capsys.readouterr()
+        with open(paths[1]) as handle:
+            artifact = json.load(handle)
+        del artifact["result"][block][key]
+        with open(paths[1], "w") as handle:
+            json.dump(artifact, handle)
+        with pytest.raises(SystemExit) as err:
+            main(["merge-verify"] + paths)
+        message = str(err.value)
+        assert paths[1] in message and key in message
+        assert "does not parse as a YieldResult" in message
 
     def test_parser_accepts_shard_flags(self):
         from repro.cli import build_parser
