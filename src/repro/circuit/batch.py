@@ -18,8 +18,14 @@ This module exploits the shared structure.  :class:`SampleBatchPlan`
   builder that deviates raises :class:`BatchUnsupported` and the caller
   falls back to the serial path — the probe can only *disable* batching,
   never corrupt results;
-* captures the prototype's exact stamp-call sequences (DC base, AC
-  ``(G, B)``) as triplet descriptors whose values are per-sample arrays;
+* records every triplet it assembles by running the scalar device code
+  on the prototype (:meth:`SampleBatchPlan._capture`): the linear
+  devices' stamps as they are, and each transistor's Newton companion
+  and AC stamps in both drain/source orientations at power-of-two probe
+  quantities, so that each recorded value names the quantity and sign
+  its per-sample slot takes.  A value that names none raises
+  :class:`BatchUnsupported`.  One :class:`_StampLayout` type holds the
+  four passes: DC base, DC tail, AC ``G`` and AC ``B``;
 * runs the DC homotopy chain over all samples through the same driver
   as the scalar solver (:func:`repro.circuit.dc.homotopy_chain`), with a
   grouped-signature kernel (:meth:`SampleBatchPlan._stage`) that
@@ -31,11 +37,12 @@ This module exploits the shared structure.  :class:`SampleBatchPlan`
   hands a sample back for the serial fallback, whose identical failure
   reproduces the serial error classification exactly.
 
-Parity contract: every assembly step mirrors the serial code
-operation-for-operation (same accumulation order, same association, same
-library calls), and the Newton rule is the serial one itself, so batched
-results are **bitwise identical** to the serial per-sample loop — not
-merely close.  The test suite asserts exact equality.
+Parity contract: every triplet is added in the order the scalar stamps
+add it, with the value they add (the same accumulation order and
+association, the same library calls), and the Newton rule is the serial
+one itself, so batched results are **bitwise identical** to the serial
+per-sample loop — not merely close.  The test suite asserts exact
+equality, also under an edited scalar stamp.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from .ac import AcSystem
 from .dc import DCResult, GMIN_FINAL, homotopy_chain
 from .devices import (Capacitor, Inductor, Isource, Mosfet, Resistor, Vcvs,
                       Vccs, Vsource)
-from .linsolve import (DenseAcEngine, SparseAcEngine, SparsePattern,
-                       TripletStamper, resolve_backend)
+from .linsolve import (AC_GMIN, DenseAcEngine, SparseAcEngine,
+                       SparsePattern, TripletStamper, resolve_backend)
 from .mos import (REGION_NAMES, evaluate_nmos_stacked,
                   intrinsic_capacitances, intrinsic_capacitances_batch)
 from .netlist import Circuit
@@ -60,29 +67,36 @@ from .netlist import Circuit
 #: linearity check is an exact float comparison.
 PROBE_RESISTANCE_FACTOR = 2.0
 
+#: Quantities the transistor stamps are recorded at, in the row order of
+#: the quantity stacks their slots are filled from: distinct powers of
+#: two, so each recorded value is exactly plus or minus one of them and
+#: names its quantity and sign (``gsum = gm + gds + gmb`` is 7).
+CONDUCTANCE_PROBES = (1.0, 2.0, 4.0, 7.0)  # gm, gds, gmb, gsum
+CURRENT_PROBES = (1.0,)  # ieq
+CAPACITANCE_PROBES = (1.0, 2.0, 4.0, 8.0)  # cgs, cgd, cdb, csb
 
-class _RhsRecordingStamper(TripletStamper):
-    """Triplet stamper that additionally records every rhs add as
-    ``(row, value, scaled)``, in call order.
 
-    The batched kernel re-accumulates the linear rhs per homotopy stage:
-    each recorded source add contributes ``value * scale`` (the
-    bitwise equal of the serial ``±(dc * scale)`` stamp, since IEEE
-    multiplication is sign-magnitude exact) while non-source adds are
-    kept verbatim — never a post-sum scaling, which would associate
-    differently.
-    """
+def _probe_op(swapped: bool) -> dict:
+    """The operating-point record a transistor's AC stamp is probed at."""
+    gm, gds, gmb, _ = CONDUCTANCE_PROBES
+    cgs, cgd, cdb, csb = CAPACITANCE_PROBES
+    return {"swapped": swapped, "gm": gm, "gds": gds, "gmb": gmb,
+            "cgs": cgs, "cgd": cgd, "cdb": cdb, "csb": csb}
 
-    def __init__(self, size: int):
-        super().__init__(size)
-        self.rhs_records: List[Tuple[int, float, bool]] = []
-        #: set by the capture loop: is the device being stamped an
-        #: independent source (its rhs adds carry the homotopy scale)?
-        self.rhs_scaled = False
+
+class _Recorder(TripletStamper):
+    """Triplet stamper that also records every rhs add as ``(row,
+    value)``, in call order."""
+
+    def __init__(self, size: int, dtype=float):
+        super().__init__(size, dtype)
+        self.rhs_rows: List[int] = []
+        self.rhs_vals: List[complex] = []
 
     def add_rhs(self, row: int, value) -> None:
         if row >= 0:
-            self.rhs_records.append((row, float(value), self.rhs_scaled))
+            self.rhs_rows.append(row)
+            self.rhs_vals.append(value)
         super().add_rhs(row, value)
 
 
@@ -114,51 +128,111 @@ def probe_maps(proto: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
     return dvto, beta
 
 
-def _mos_adds(nd: int, ng: int, ns: int, nb: int
-              ) -> Tuple[List[Tuple[int, int, int, float]],
-                         List[Tuple[int, int]]]:
-    """The 8 Jacobian adds of ``Mosfet._stamp_conductances`` (the
-    conductance block of ``stamp_dc`` and of the G part of
-    ``stamp_ac_parts``) + the 2 rhs adds of ``stamp_dc`` for one
-    drain/source orientation, with the ground skips applied.  Quantity
-    indices: 0=gm 1=gds 2=gmb 3=gsum; rhs sign multiplies ``ieq``."""
-    adds = []
-    for row, col, qty, sign in (
-            (nd, ng, 0, 1.0), (nd, nd, 1, 1.0), (nd, nb, 2, 1.0),
-            (nd, ns, 3, -1.0), (ns, ng, 0, -1.0), (ns, nd, 1, -1.0),
-            (ns, nb, 2, -1.0), (ns, ns, 3, 1.0)):
-        if row >= 0 and col >= 0:
-            adds.append((row, col, qty, sign))
-    rhs = []
-    if nd >= 0:
-        rhs.append((nd, -1.0))
-    if ns >= 0:
-        rhs.append((ns, 1.0))
-    return adds, rhs
+def _decode(vals: np.ndarray, table: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(index, sign)`` with ``vals[i] == sign[i] * table[..., index[i]]``
+    exactly, ``table`` one row of candidates or one per value; a value
+    matching no candidate raises :class:`BatchUnsupported`."""
+    index = np.zeros(vals.size, dtype=np.intp)
+    sign = np.zeros(vals.size)
+    for j in range(table.shape[-1]):
+        for s in (1.0, -1.0):
+            hit = vals == s * table[..., j]
+            index[hit] = j
+            sign[hit] = s
+    if not sign.all():
+        raise BatchUnsupported(
+            f"a stamp adds {vals[sign == 0][0]}, which names no "
+            f"per-sample quantity")
+    return index, sign
 
 
-def _mos_cap_adds(nd: int, ng: int, ns: int, nb: int
-                  ) -> List[Tuple[int, int, int, float]]:
-    """The B-part adds of ``Mosfet.stamp_ac_parts``: four two-terminal
-    capacitances via ``add_conductance``, in call order, ground-skipped.
-    Quantity indices: 0=cgs 1=cgd 2=cdb 3=csb."""
-    adds = []
-    for a, b, qty in ((ng, ns, 0), (ng, nd, 1), (nd, nb, 2), (ns, nb, 3)):
-        for row, col, sign in ((a, a, 1.0), (b, b, 1.0),
-                               (a, b, -1.0), (b, a, -1.0)):
-            if row >= 0 and col >= 0:
-                adds.append((row, col, qty, sign))
-    return adds
+class _StampLayout:
+    """The adds of one assembly pass, in the order the scalar stamps make
+    them (recorded by :meth:`SampleBatchPlan._capture`).
+
+    Entry ``i`` adds ``const[i]`` to matrix entry ``(rows[i], cols[i])``
+    — to ``rhs[rows[i]]`` in an rhs layout, whose ``cols`` is None —
+    except in the per-sample slots: where ``res[i] >= 0`` it adds
+    ``sign[i]`` times that tracked resistor's conductance, and where
+    ``mos[i] >= 0`` ``sign[i]`` times quantity ``qty[i]`` of that
+    transistor, from the quantity stack the pass is filled from.  A
+    transistor's entries are recorded in both drain/source orientations
+    (``swapped``), and :meth:`select` keeps those of one swap signature.
+    ``rhs`` is the layout of the pass's rhs adds.
+    """
+
+    __slots__ = ("rows", "cols", "const", "sign", "res", "mos", "qty",
+                 "swapped", "rhs", "_res_slots", "_mos_slots")
+
+    def __init__(self, rows, cols, const, sign, res, mos, qty, swapped,
+                 rhs: Optional["_StampLayout"] = None):
+        self.rows, self.cols, self.const = rows, cols, const
+        self.sign, self.res, self.mos, self.qty = sign, res, mos, qty
+        self.swapped, self.rhs = swapped, rhs
+        slots = np.flatnonzero(res >= 0)
+        self._res_slots = (slots, res[slots], sign[slots])
+        slots = np.flatnonzero(mos >= 0)
+        self._mos_slots = (slots, qty[slots], mos[slots], sign[slots])
+
+    @classmethod
+    def recorded(cls, rows: Sequence[int], cols: Optional[Sequence[int]],
+                 vals: Sequence[complex], dtype, owners: Sequence[np.ndarray],
+                 probes: Sequence[float],
+                 conductance: Optional[np.ndarray] = None,
+                 rhs: Optional["_StampLayout"] = None) -> "_StampLayout":
+        """Decode recorded adds.  ``owners`` holds per add the tracked
+        resistor and the transistor that made it (-1: neither) and the
+        transistor's orientation.  A transistor's value must be plus or
+        minus one of ``probes``, a resistor's plus or minus its
+        ``conductance`` (None: the pass has no resistor slots)."""
+        res, mos, swapped = owners
+        vals = np.asarray(vals, dtype=dtype)
+        sign = np.ones(vals.size)
+        qty = np.zeros(vals.size, dtype=np.intp)
+        on_mos, on_res = mos >= 0, res >= 0
+        qty[on_mos], sign[on_mos] = _decode(vals[on_mos],
+                                            np.asarray(probes, dtype=float))
+        _, sign[on_res] = _decode(vals[on_res], np.zeros(0) if conductance
+                                  is None else conductance[res[on_res], None])
+        return cls(np.asarray(rows, dtype=np.intp),
+                   None if cols is None else np.asarray(cols, dtype=np.intp),
+                   np.where(on_mos | on_res, 0.0, vals), sign, res, mos, qty,
+                   swapped, rhs)
+
+    def select(self, swaps: np.ndarray) -> "_StampLayout":
+        """The layout of swap signature ``swaps``: every other device's
+        entries, and each transistor's entries of its orientation."""
+        keep = (self.mos < 0) | (self.swapped == swaps[self.mos])
+        return _StampLayout(
+            self.rows[keep], None if self.cols is None else self.cols[keep],
+            self.const[keep], self.sign[keep], self.res[keep],
+            self.mos[keep], self.qty[keep], self.swapped[keep],
+            None if self.rhs is None else self.rhs.select(swaps))
+
+    def values(self, res_g: Optional[np.ndarray] = None,
+               q: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-sample values, shape ``(..., entries)``: ``res_g`` holds
+        the samples' resistor conductances ``(..., n_res)``, ``q`` their
+        quantity stack ``(..., n_quantities, n_mos)``."""
+        lead = res_g.shape[:-1] if q is None else q.shape[:-2]
+        vals = np.empty(lead + self.const.shape, dtype=self.const.dtype)
+        vals[...] = self.const
+        slots, res, sign = self._res_slots
+        if slots.size:
+            vals[..., slots] = sign * res_g[..., res]
+        slots, qty, mos, sign = self._mos_slots
+        if slots.size:
+            vals[..., slots] = q[..., qty, mos] * sign
+        return vals
 
 
 class _MosPlan:
     """Static per-transistor data: reflected model card, effective
-    geometry, tracking flags and the stamp descriptors of both
-    drain/source orientations."""
+    geometry and tracking flags."""
 
     __slots__ = ("name", "index", "nodes", "pol", "model_t", "w_eff", "l",
-                 "tracked_vto", "tracked_beta", "cj", "dc_variants",
-                 "ac_g_variants", "ac_b_variants", "rhs_variants")
+                 "tracked_vto", "tracked_beta", "cj")
 
     def __init__(self, index: int, dev: Mosfet, nodes: Sequence[int],
                  temp_c: float, tracked_vto: bool, tracked_beta: bool):
@@ -174,29 +248,6 @@ class _MosPlan:
         # junction capacitance, the same in every region
         self.cj = intrinsic_capacitances(self.model_t, self.w_eff, self.l,
                                          "cutoff")[2]
-        nd, ng, ns, nb = nodes
-        self.dc_variants = {}
-        self.rhs_variants = {}
-        self.ac_g_variants = {}
-        self.ac_b_variants = {}
-        for swapped in (False, True):
-            ed, es = (ns, nd) if swapped else (nd, ns)
-            adds, rhs = _mos_adds(ed, ng, es, nb)
-            self.dc_variants[swapped] = adds
-            self.rhs_variants[swapped] = rhs
-            self.ac_g_variants[swapped] = adds
-            self.ac_b_variants[swapped] = _mos_cap_adds(ed, ng, es, nb)
-
-
-class _SigSpec:
-    """Assembled stamp plan for one swap signature: concatenated triplet
-    index arrays plus gather maps from per-sample quantity matrices."""
-
-    __slots__ = ("rows", "cols", "n_base", "nl_qty", "nl_mos", "nl_sign",
-                 "rhs_rows", "rhs_mos", "rhs_sign", "pattern", "n_g",
-                 "g_const", "g_res_slots", "g_res_idx", "g_res_sign",
-                 "g_qty", "g_mos", "g_sign", "g_mos_slots",
-                 "b_const", "b_qty", "b_mos", "b_sign", "b_mos_slots")
 
 
 def _match_devices(proto: Circuit, probe: Circuit,
@@ -278,7 +329,7 @@ class SampleBatchPlan:
     """Structure-of-arrays evaluation plan for one ``(d, theta)`` build.
 
     Lifecycle: construct once per ``(d, theta)`` (verifies the builder
-    and captures stamp sequences), then per chunk of samples call
+    and records its stamps), then per chunk of samples call
     :meth:`set_samples` followed by :meth:`solve`; each converged
     sample's :meth:`operating_point` reads its device records and
     small-signal systems from the chunk's finalized arrays.
@@ -302,106 +353,95 @@ class SampleBatchPlan:
         self.mosfets: List[_MosPlan] = [
             _MosPlan(i, dev, node_of[dev.name], temp_c, tv, tb)
             for i, (dev, tv, tb) in enumerate(mos_pairs)]
-        self._mos_index = {mp.name: mp for mp in self.mosfets}
         self.n_mos = len(self.mosfets)
         self._build_mos_stack()
         self.resistors: List[Tuple[Resistor, bool, Tuple[int, int]]] = [
             (dev, tracked, node_of[dev.name])
             for dev, tracked in res_pairs]
-        self._res_index = {dev.name: j
-                           for j, (dev, _, _) in enumerate(self.resistors)}
         self._op_kinds = {mp.name: ("mos", mp.index) for mp in self.mosfets}
         self._op_kinds.update({dev.name: ("res", j) for j, (dev, _, _)
                                in enumerate(self.resistors)})
 
-        self._capture_dc()
-        self._capture_ac()
-        self._dc_specs: Dict[bytes, _SigSpec] = {}
-        self._ac_specs: Dict[bytes, _SigSpec] = {}
+        self._capture()
+        self._dc_signatures: Dict[bytes, tuple] = {}
+        self._ac_signatures: Dict[bytes, tuple] = {}
         self.n_samples = 0
 
     # -- capture ---------------------------------------------------------------
-    def _capture_dc(self) -> None:
-        """Record the linear-device DC stamp sequence of the prototype,
-        marking tracked-resistor value slots, and append the gmin
-        diagonal exactly where the serial backends put it."""
-        layout = self.layout
-        st = _RhsRecordingStamper(layout.size)
-        res_slots: List[int] = []
-        res_idx: List[int] = []
-        res_sign: List[float] = []
-        for dev, nodes, branches in zip(self.circuit.devices,
-                                        layout.device_nodes,
-                                        layout.device_branches):
-            if not dev.linear:
-                continue
-            start = len(st.rows)
-            st.rhs_scaled = isinstance(dev, (Vsource, Isource))
-            dev.stamp_dc(st, np.zeros(0), nodes, branches)
-            if isinstance(dev, Resistor):
-                j = self._res_index[dev.name]
-                if self.resistors[j][1]:  # tracked
-                    g = 1.0 / dev.resistance
-                    for slot in range(start, len(st.rows)):
-                        res_slots.append(slot)
-                        res_idx.append(j)
-                        res_sign.append(1.0 if st.vals[slot] == g else -1.0)
-        n_linear = len(st.rows)
-        st.add_diagonal(layout.n_nodes, GMIN_FINAL)
-        self._dc_rows = np.asarray(st.rows, dtype=np.intp)
-        self._dc_cols = np.asarray(st.cols, dtype=np.intp)
-        self._dc_const = np.asarray(st.vals, dtype=float)
-        self._dc_n_linear = n_linear
-        self._dc_res_slots = np.asarray(res_slots, dtype=np.intp)
-        self._dc_res_idx = np.asarray(res_idx, dtype=np.intp)
-        self._dc_res_sign = np.asarray(res_sign, dtype=float)
-        records = st.rhs_records
-        self._dc_rhs_rows = np.asarray([r for r, _, _ in records],
-                                       dtype=np.intp)
-        self._dc_rhs_vals = np.asarray([v for _, v, _ in records],
-                                       dtype=float)
-        self._dc_rhs_scaled = np.asarray([s for _, _, s in records],
-                                         dtype=bool)
+    def _capture(self) -> None:
+        """Record every triplet the plan assembles by running the scalar
+        stamps on the prototype, device by device in circuit order, as
+        the serial backends call them.
 
-    def _capture_ac(self) -> None:
-        """Record the AC ``(G, B)`` stamp sequences (device-interleaved,
-        as the engines assemble them), the static source rhs and the
-        VIP/VIN drive branch indices."""
+        Each linear device stamps its DC stamp into the DC base and its
+        AC parts into ``G``/``B``; a tracked resistor's values become
+        slots of its per-sample conductance.  Each transistor stamps, in
+        both drain/source orientations and at the probe quantities, its
+        Newton companion (``Mosfet.stamp_companion``) into the DC tail
+        and its AC parts into ``G``/``B``; each value it records becomes
+        the slot of the quantity it names.  The DC base ends with the
+        gmin diagonal and ``G`` with the ``AC_GMIN`` diagonal, where the
+        serial backends stamp them.  The source adds of the DC base rhs
+        are marked: they carry the homotopy scale."""
         layout = self.layout
-        st_g = TripletStamper(layout.size, dtype=complex)
-        st_b = TripletStamper(layout.size, dtype=complex)
-        g_segments: List[tuple] = []  # ("const", start, end) | ("mos", idx)
-        b_segments: List[tuple] = []
-        g_res: List[Tuple[int, int, float]] = []  # (slot, res_idx, sign)
+        recorders = (_Recorder(layout.size), _Recorder(layout.size),
+                     _Recorder(layout.size, complex),
+                     _Recorder(layout.size, complex))
+        base, tail, ac_g, ac_b = recorders
+        calls: List[Tuple[int, int, bool, bool]] = []
+        ends: List[List[int]] = []
+
+        def done(res: int, mos: int, swapped: bool, source: bool) -> None:
+            calls.append((res, mos, swapped, source))
+            ends.append([n for rec in recorders
+                         for n in (len(rec.rows), len(rec.rhs_rows))])
+
         for dev, nodes, branches in zip(self.circuit.devices,
                                         layout.device_nodes,
                                         layout.device_branches):
-            if isinstance(dev, Mosfet):
-                mp = self._mos_index[dev.name]
-                g_segments.append(("mos", mp.index))
-                b_segments.append(("mos", mp.index))
+            kind, j = self._op_kinds.get(dev.name, (None, -1))
+            if kind == "mos":
+                for swapped in (False, True):
+                    dev.stamp_companion(
+                        tail, *Mosfet.effective_nodes(nodes, swapped),
+                        *CONDUCTANCE_PROBES, *CURRENT_PROBES)
+                    dev.stamp_ac_parts(ac_g, ac_b, nodes, branches,
+                                       _probe_op(swapped))
+                    done(-1, j, swapped, False)
                 continue
-            g_start, b_start = len(st_g.rows), len(st_b.rows)
-            dev.stamp_ac_parts(st_g, st_b, nodes, branches, None)
-            g_segments.append(("const", g_start, len(st_g.rows)))
-            b_segments.append(("const", b_start, len(st_b.rows)))
-            if isinstance(dev, Resistor):
-                j = self._res_index[dev.name]
-                if self.resistors[j][1]:
-                    g = 1.0 / dev.resistance
-                    for slot in range(g_start, len(st_g.rows)):
-                        sign = 1.0 if st_g.vals[slot] == g else -1.0
-                        g_res.append((slot, j, sign))
-        self._ac_g_segments = g_segments
-        self._ac_b_segments = b_segments
-        self._ac_g_rows = list(st_g.rows)
-        self._ac_g_cols = list(st_g.cols)
-        self._ac_g_const = list(st_g.vals)
-        self._ac_g_res = g_res
-        self._ac_b_rows = list(st_b.rows)
-        self._ac_b_cols = list(st_b.cols)
-        self._ac_b_const = list(st_b.vals)
-        self._ac_rhs_static = st_g.rhs + st_b.rhs
+            dev.stamp_dc(base, np.zeros(0), nodes, branches)
+            dev.stamp_ac_parts(ac_g, ac_b, nodes, branches, None)
+            tracked = kind == "res" and self.resistors[j][1]
+            done(j if tracked else -1, -1, False,
+                 isinstance(dev, (Vsource, Isource)))
+        self._dc_n_linear = len(base.rows)
+        base.add_diagonal(layout.n_nodes, GMIN_FINAL)
+        ac_g.add_diagonal(layout.n_nodes, AC_GMIN)
+        done(-1, -1, False, False)
+
+        counts = np.diff(np.asarray(ends), axis=0, prepend=0)
+        res, mos, swapped, source = (np.asarray(c) for c in zip(*calls))
+        conductance = np.array([1.0 / dev.resistance
+                                for dev, _, _ in self.resistors])
+
+        def record(r: int, probes, rhs_probes, dtype=float) -> _StampLayout:
+            rec = recorders[r]
+            n, n_rhs = counts[:, 2 * r], counts[:, 2 * r + 1]
+            rhs = _StampLayout.recorded(
+                rec.rhs_rows, None, rec.rhs_vals, dtype,
+                [np.repeat(c, n_rhs) for c in (res, mos, swapped)],
+                rhs_probes)
+            return _StampLayout.recorded(
+                rec.rows, rec.cols, rec.vals, dtype,
+                [np.repeat(c, n) for c in (res, mos, swapped)], probes,
+                conductance, rhs)
+
+        self._dc_base = record(0, (), ())
+        self._dc_rhs_scaled = np.repeat(source, counts[:, 1])
+        self._dc_tail = record(1, CONDUCTANCE_PROBES, CURRENT_PROBES)
+        self._ac_g = record(2, CONDUCTANCE_PROBES, (), complex)
+        self._ac_b = record(3, CAPACITANCE_PROBES, (), complex)
+        self._ac_rhs_static = ac_g.rhs + ac_b.rhs
         branch_of = {}
         for dev, branches in zip(self.circuit.devices,
                                  layout.device_branches):
@@ -443,11 +483,7 @@ class SampleBatchPlan:
             res_r[:, j] = dev.resistance * rf if tracked else dev.resistance
         self._res_r = res_r
         self._res_g = 1.0 / res_r if n_res else res_r
-        base = np.tile(self._dc_const, (n, 1))
-        if self._dc_res_slots.size:
-            base[:, self._dc_res_slots] = \
-                self._dc_res_sign * self._res_g[:, self._dc_res_idx]
-        self._dc_base_vals = base
+        self._dc_base_vals = self._dc_base.values(self._res_g)
         self._fin: Optional[dict] = None
 
     # -- model evaluation -------------------------------------------------------
@@ -484,7 +520,9 @@ class SampleBatchPlan:
         """Evaluate every transistor at the solutions ``x`` (shape
         ``(k, size)``) of chunk samples ``rows``; returns ``(k, n_mos)``
         quantity matrices mirroring ``Mosfet._evaluate`` + ``stamp_dc``
-        bit-for-bit.
+        bit-for-bit, and the ``(k, quantities, n_mos)`` stacks the DC
+        tail and ``G`` slots are filled from (rows in the order of
+        :data:`CONDUCTANCE_PROBES` and :data:`CURRENT_PROBES`).
 
         All devices are evaluated in one stacked
         :func:`evaluate_nmos_stacked` call — the per-device model rows
@@ -514,151 +552,46 @@ class SampleBatchPlan:
         ieq = i_d - (gm * vg0 + gds * vd_eff + gmb * vb0
                      - gsum * vs_eff)
         return {
-            "gm": gm, "gds": gds, "gmb": gmb, "gsum": gsum, "ieq": ieq,
+            "gm": gm, "gds": gds, "gmb": gmb,
+            "conductances": np.stack([gm, gds, gmb, gsum], axis=1),
+            "currents": ieq[:, None, :],
             "ids": ev["ids"], "vgs": vgs, "vds": vds_eff, "vbs": vbs,
             "vth": ev["vth"], "vdsat": ev["vdsat"], "vov": ev["vov"],
             "region": ev["region"].astype(np.intp, copy=False),
             "swapped": swap,
         }
 
-    # -- signature specs ---------------------------------------------------------
-    def _dc_spec(self, key: bytes, swaps: np.ndarray) -> _SigSpec:
-        spec = self._dc_specs.get(key)
-        if spec is not None:
-            return spec
-        spec = _SigSpec()
-        rows = list(self._dc_rows)
-        cols = list(self._dc_cols)
-        nl_qty: List[int] = []
-        nl_mos: List[int] = []
-        nl_sign: List[float] = []
-        rhs_rows: List[int] = []
-        rhs_mos: List[int] = []
-        rhs_sign: List[float] = []
-        for mp in self.mosfets:
-            variant = bool(swaps[mp.index])
-            for row, col, qty, sign in mp.dc_variants[variant]:
-                rows.append(row)
-                cols.append(col)
-                nl_qty.append(qty)
-                nl_mos.append(mp.index)
-                nl_sign.append(sign)
-            for row, sign in mp.rhs_variants[variant]:
-                rhs_rows.append(row)
-                rhs_mos.append(mp.index)
-                rhs_sign.append(sign)
-        spec.rows = np.asarray(rows, dtype=np.intp)
-        spec.cols = np.asarray(cols, dtype=np.intp)
-        spec.n_base = self._dc_rows.size
-        spec.nl_qty = np.asarray(nl_qty, dtype=np.intp)
-        spec.nl_mos = np.asarray(nl_mos, dtype=np.intp)
-        spec.nl_sign = np.asarray(nl_sign, dtype=float)
-        spec.rhs_rows = np.asarray(rhs_rows, dtype=np.intp)
-        spec.rhs_mos = np.asarray(rhs_mos, dtype=np.intp)
-        spec.rhs_sign = np.asarray(rhs_sign, dtype=float)
-        if self.sparse:
-            spec.pattern = SparsePattern(
-                spec.rows.astype(np.int32), spec.cols.astype(np.int32),
-                self.layout.size)
-        else:
-            spec.pattern = None
-        self._dc_specs[key] = spec
-        return spec
+    # -- swap signatures ------------------------------------------------------
+    def _pattern(self, first: _StampLayout,
+                 second: _StampLayout) -> Optional[SparsePattern]:
+        """The sparse pattern of one system assembled from two layouts
+        (None on the dense backend)."""
+        if not self.sparse:
+            return None
+        return SparsePattern(
+            np.concatenate([first.rows, second.rows]).astype(np.int32),
+            np.concatenate([first.cols, second.cols]).astype(np.int32),
+            self.layout.size)
 
-    def _ac_spec(self, key: bytes, swaps: np.ndarray) -> _SigSpec:
-        spec = self._ac_specs.get(key)
-        if spec is not None:
-            return spec
-        spec = _SigSpec()
-        g_rows: List[int] = []
-        g_cols: List[int] = []
-        g_const: List[complex] = []
-        g_res_slots: List[int] = []
-        g_res_idx: List[int] = []
-        g_res_sign: List[float] = []
-        g_mos_slots: List[int] = []
-        g_qty: List[int] = []
-        g_mos: List[int] = []
-        g_sign: List[float] = []
-        res_const = {slot: (j, sign) for slot, j, sign in self._ac_g_res}
-        for seg in self._ac_g_segments:
-            if seg[0] == "const":
-                _, start, end = seg
-                for slot in range(start, end):
-                    pos = len(g_rows)
-                    g_rows.append(self._ac_g_rows[slot])
-                    g_cols.append(self._ac_g_cols[slot])
-                    g_const.append(self._ac_g_const[slot])
-                    if slot in res_const:
-                        j, sign = res_const[slot]
-                        g_res_slots.append(pos)
-                        g_res_idx.append(j)
-                        g_res_sign.append(sign)
-            else:
-                mp = self.mosfets[seg[1]]
-                for row, col, qty, sign in \
-                        mp.ac_g_variants[bool(swaps[mp.index])]:
-                    g_mos_slots.append(len(g_rows))
-                    g_rows.append(row)
-                    g_cols.append(col)
-                    g_const.append(0.0)
-                    g_qty.append(qty)
-                    g_mos.append(mp.index)
-                    g_sign.append(sign)
-        # The engines stamp the 1e-12 stabilizer diagonal after all
-        # devices (sparse: explicit triplets; dense: a diagonal add).
-        for i in range(self.layout.n_nodes):
-            g_rows.append(i)
-            g_cols.append(i)
-            g_const.append(1e-12)
-        b_rows: List[int] = []
-        b_cols: List[int] = []
-        b_const: List[complex] = []
-        b_mos_slots: List[int] = []
-        b_qty: List[int] = []
-        b_mos: List[int] = []
-        b_sign: List[float] = []
-        for seg in self._ac_b_segments:
-            if seg[0] == "const":
-                _, start, end = seg
-                b_rows.extend(self._ac_b_rows[start:end])
-                b_cols.extend(self._ac_b_cols[start:end])
-                b_const.extend(self._ac_b_const[start:end])
-            else:
-                mp = self.mosfets[seg[1]]
-                for row, col, qty, sign in \
-                        mp.ac_b_variants[bool(swaps[mp.index])]:
-                    b_mos_slots.append(len(b_rows))
-                    b_rows.append(row)
-                    b_cols.append(col)
-                    b_const.append(0.0)
-                    b_qty.append(qty)
-                    b_mos.append(mp.index)
-                    b_sign.append(sign)
-        spec.n_g = len(g_rows)
-        spec.rows = np.asarray(g_rows + b_rows, dtype=np.intp)
-        spec.cols = np.asarray(g_cols + b_cols, dtype=np.intp)
-        spec.g_const = np.asarray(g_const, dtype=complex)
-        spec.g_res_slots = np.asarray(g_res_slots, dtype=np.intp)
-        spec.g_res_idx = np.asarray(g_res_idx, dtype=np.intp)
-        spec.g_res_sign = np.asarray(g_res_sign, dtype=float)
-        spec.g_mos_slots = np.asarray(g_mos_slots, dtype=np.intp)
-        spec.g_qty = np.asarray(g_qty, dtype=np.intp)
-        spec.g_mos = np.asarray(g_mos, dtype=np.intp)
-        spec.g_sign = np.asarray(g_sign, dtype=float)
-        spec.b_const = np.asarray(b_const, dtype=complex)
-        spec.b_mos_slots = np.asarray(b_mos_slots, dtype=np.intp)
-        spec.b_qty = np.asarray(b_qty, dtype=np.intp)
-        spec.b_mos = np.asarray(b_mos, dtype=np.intp)
-        spec.b_sign = np.asarray(b_sign, dtype=float)
-        if self.sparse:
-            spec.pattern = SparsePattern(
-                spec.rows.astype(np.int32), spec.cols.astype(np.int32),
-                self.layout.size)
-        else:
-            spec.pattern = None
-        self._ac_specs[key] = spec
-        return spec
+    def _dc_signature(self, key: bytes, swaps: np.ndarray) -> tuple:
+        """``(tail, pattern)`` of swap signature ``swaps`` (``key`` its
+        packed bits): its DC tail and the pattern of base and tail."""
+        signature = self._dc_signatures.get(key)
+        if signature is None:
+            tail = self._dc_tail.select(swaps)
+            signature = (tail, self._pattern(self._dc_base, tail))
+            self._dc_signatures[key] = signature
+        return signature
+
+    def _ac_signature(self, key: bytes, swaps: np.ndarray) -> tuple:
+        """``(g, b, pattern)`` of swap signature ``swaps``: its AC ``G``
+        and ``B`` layouts and the union pattern of both."""
+        signature = self._ac_signatures.get(key)
+        if signature is None:
+            g, b = self._ac_g.select(swaps), self._ac_b.select(swaps)
+            signature = (g, b, self._pattern(g, b))
+            self._ac_signatures[key] = signature
+        return signature
 
     # -- lockstep homotopy chain -------------------------------------------------
     def solve(self, x0s: Optional[np.ndarray]
@@ -695,29 +628,26 @@ class SampleBatchPlan:
         in one stacked pass, groups the rows by drain/source swap
         signature and assembles and solves each group; a singular
         matrix clears the row's ``solved`` flag."""
-        size, n_lin = self.layout.size, self._dc_n_linear
+        size, base = self.layout.size, self._dc_base
         # The linear bases as the serial backends stamp a fresh system
         # per stage: the gmin triplets sit behind the linear stamps, so
         # only their value, not the accumulation order, changes.
         vals = self._dc_base_vals[rows]
-        vals[:, n_lin:] = gmin
+        vals[:, self._dc_n_linear:] = gmin
         mats = None
         if not self.sparse:
             mats = np.zeros((rows.size, size, size))
-            np.add.at(mats, (np.arange(rows.size)[:, None],
-                             self._dc_rows[None, :n_lin],
-                             self._dc_cols[None, :n_lin]), vals[:, :n_lin])
-            diag = np.arange(self.layout.n_nodes)
-            mats[:, diag, diag] += gmin
-        # The linear rhs, re-accumulated add-by-add in the captured stamp
+            np.add.at(mats, (np.arange(rows.size)[:, None], base.rows,
+                             base.cols), vals)
+        # The linear rhs, re-accumulated add-by-add in the recorded stamp
         # order with each source add scaled on its own: bitwise the
         # serial ``±(dc * scale)`` stamps (and at scale 1.0 the unscaled
         # ones).
         rhs = np.zeros(size)
-        np.add.at(rhs, self._dc_rhs_rows, np.where(
-            self._dc_rhs_scaled,
-            self._dc_rhs_vals * (1.0 if scale is None else scale),
-            self._dc_rhs_vals))
+        const = base.rhs.const
+        np.add.at(rhs, base.rhs.rows, np.where(
+            self._dc_rhs_scaled, const * (1.0 if scale is None else scale),
+            const))
 
         def solve(x: np.ndarray, active: np.ndarray):
             quantities = self._eval_mosfets(x, rows[active])
@@ -731,46 +661,38 @@ class SampleBatchPlan:
                 sel = np.asarray(members, dtype=np.intp)
                 grp = active[sel]
                 self._assemble_and_solve(
-                    self._dc_spec(key, swaps[sel[0]]), vals[grp],
+                    self._dc_signature(key, swaps[sel[0]]), vals[grp],
                     None if mats is None else mats[grp], rhs, sel,
                     quantities, x_new, solved)
             return x_new, solved
 
         return solve
 
-    def _assemble_and_solve(self, spec: _SigSpec, base_vals: np.ndarray,
+    def _assemble_and_solve(self, signature: tuple, base_vals: np.ndarray,
                             base_mats: Optional[np.ndarray],
                             base_rhs: np.ndarray, local_rows: np.ndarray,
                             quantities: dict, x_new: np.ndarray,
                             solved: np.ndarray) -> None:
         """Assemble and solve the group's linear systems into
-        ``x_new[local_rows]``.  ``base_vals``/``base_mats`` are the
+        ``x_new[local_rows]``.  ``signature`` is the group's
+        :meth:`_dc_signature`, ``base_vals``/``base_mats`` are the
         group's gathered copies of the stage's linear bases
         (``base_mats`` is mutated in place) and ``base_rhs`` the stage's
         source rhs.  Samples whose solve fails are flagged in
         ``solved`` for the fallback."""
+        tail, pattern = signature
         k = local_rows.size
         size = self.layout.size
-        q_stack = np.stack([quantities["gm"], quantities["gds"],
-                            quantities["gmb"], quantities["gsum"]])
-        nl_vals = (q_stack[spec.nl_qty[None, :], local_rows[:, None],
-                           spec.nl_mos[None, :]]
-                   * spec.nl_sign) if spec.nl_qty.size else \
-            np.zeros((k, 0))
-        rhs_vals = (quantities["ieq"][local_rows][:, spec.rhs_mos]
-                    * spec.rhs_sign) if spec.rhs_rows.size else None
+        tail_vals = tail.values(q=quantities["conductances"][local_rows])
+        rhs_vals = tail.rhs.values(q=quantities["currents"][local_rows])
         samp = np.arange(k)[:, None]
         if self.sparse:
             # Serial sparse rhs: nonlinear adds accumulate from zero,
             # then base + tail in one elementwise add.
             rhs_nl = np.zeros((k, size))
-            if rhs_vals is not None:
-                np.add.at(rhs_nl, (samp, spec.rhs_rows[None, :]), rhs_vals)
-            vals = np.empty((k, spec.rows.size))
-            vals[:, :spec.n_base] = base_vals
-            vals[:, spec.n_base:] = nl_vals
+            np.add.at(rhs_nl, (samp, tail.rhs.rows), rhs_vals)
+            vals = np.concatenate([base_vals, tail_vals], axis=1)
             rhs = base_rhs + rhs_nl
-            pattern = spec.pattern
             context = (f"circuit {self.circuit.title!r} "
                        f"(floating node or source loop?)")
             for i in range(k):
@@ -784,11 +706,9 @@ class SampleBatchPlan:
             # base copy (a different association than the sparse path —
             # both are replicated exactly).
             mats = base_mats
-            np.add.at(mats, (samp, spec.rows[None, spec.n_base:],
-                             spec.cols[None, spec.n_base:]), nl_vals)
+            np.add.at(mats, (samp, tail.rows, tail.cols), tail_vals)
             rhs = np.tile(base_rhs, (k, 1))
-            if rhs_vals is not None:
-                np.add.at(rhs, (samp, spec.rhs_rows[None, :]), rhs_vals)
+            np.add.at(rhs, (samp, tail.rhs.rows), rhs_vals)
             try:
                 # (k, m, 1) rhs: one LAPACK gesv per slice with a single
                 # right-hand side — the same call the scalar path makes.
@@ -805,7 +725,9 @@ class SampleBatchPlan:
     def _finalize(self, x: np.ndarray, ok: np.ndarray) -> None:
         """Evaluate all operating-point quantities at the converged
         solutions (the batched equivalent of materializing every
-        device's ``operating_point`` record)."""
+        device's ``operating_point`` record), with the stack the ``B``
+        slots are filled from (rows in :data:`CAPACITANCE_PROBES`
+        order)."""
         self._x = x
         self._ok = ok
         rows = np.nonzero(ok)[0]
@@ -822,6 +744,8 @@ class SampleBatchPlan:
                 cgd[:, mp.index] = c_gd
             quantities["cgs"] = cgs
             quantities["cgd"] = cgd
+            cj = np.broadcast_to(self._mos_cj, cgs.shape)
+            quantities["capacitances"] = np.stack([cgs, cgd, cj, cj], axis=1)
             fin.update(quantities)
         self._fin = fin
         self._fin_local = {int(r): i for i, r in enumerate(rows)}
@@ -912,49 +836,38 @@ class _RowDCResult(DCResult):
         factorizations).
 
         The row's ``(G, B)`` values come from the captured arrays and go
-        through its AC swap signature's captured triplet scatter — the
-        engines' own stamp order, so the systems are bitwise the ones the
-        scalar :class:`~repro.circuit.ac.AcSystem` assembles."""
+        through its AC swap signature's ``G`` and ``B`` layouts, recorded
+        from the scalar stamps in the engines' own stamp order, so the
+        systems are bitwise the ones the scalar
+        :class:`~repro.circuit.ac.AcSystem` assembles."""
         plan, fin, i = self._plan, self._fin, self._i
         swaps = fin["swapped"][i]
-        spec = plan._ac_spec(np.packbits(swaps).tobytes(), swaps)
-        g_vals = spec.g_const.copy()
-        if spec.g_res_slots.size:
-            g_vals[spec.g_res_slots] = \
-                spec.g_res_sign * self._res_g[spec.g_res_idx]
-        if spec.g_mos_slots.size:
-            qg = np.stack([fin["gm"][i], fin["gds"][i], fin["gmb"][i],
-                           fin["gsum"][i]])
-            g_vals[spec.g_mos_slots] = \
-                qg[spec.g_qty, spec.g_mos] * spec.g_sign
-        b_vals = spec.b_const.copy()
-        if spec.b_mos_slots.size:
-            qb = np.stack([fin["cgs"][i], fin["cgd"][i], plan._mos_cj,
-                           plan._mos_cj])
-            b_vals[spec.b_mos_slots] = \
-                qb[spec.b_qty, spec.b_mos] * spec.b_sign
+        g, b, pattern = plan._ac_signature(np.packbits(swaps).tobytes(),
+                                           swaps)
+        g_vals = g.values(self._res_g, fin["conductances"][i])
+        b_vals = b.values(self._res_g, fin["capacitances"][i])
         rhs_dm = plan._ac_rhs_static.copy()
         rhs_dm[plan._drive_vip] += 0.5
         rhs_dm[plan._drive_vin] += -0.5
         rhs_cm = plan._ac_rhs_static.copy()
         rhs_cm[plan._drive_vip] += 1.0
         rhs_cm[plan._drive_vin] += 1.0
-        n_g = spec.n_g
         if plan.sparse:
-            vals = np.zeros(spec.rows.size, dtype=complex)
+            n_g = g_vals.size
+            vals = np.zeros(n_g + b_vals.size, dtype=complex)
             vals[:n_g] = g_vals
-            g_full = spec.pattern.fill(vals)
+            g_full = pattern.fill(vals)
             vals[:] = 0.0
             vals[n_g:] = b_vals
             engine = SparseAcEngine.assembled(
-                plan.circuit, plan.layout, spec.pattern, g_full,
-                spec.pattern.fill(vals), rhs_dm)
+                plan.circuit, plan.layout, pattern, g_full,
+                pattern.fill(vals), rhs_dm)
         else:
             size = plan.layout.size
             g_mat = np.zeros((size, size), dtype=complex)
-            np.add.at(g_mat, (spec.rows[:n_g], spec.cols[:n_g]), g_vals)
+            np.add.at(g_mat, (g.rows, g.cols), g_vals)
             b_mat = np.zeros((size, size), dtype=complex)
-            np.add.at(b_mat, (spec.rows[n_g:], spec.cols[n_g:]), b_vals)
+            np.add.at(b_mat, (b.rows, b.cols), b_vals)
             engine = DenseAcEngine.assembled(plan.circuit, plan.layout,
                                              g_mat, b_mat, rhs_dm)
         return {(0.5, -0.5): AcSystem.assembled(plan.circuit, plan.backend,

@@ -386,10 +386,17 @@ class Mosfet(Device):
         return ev, swapped, vgs, vds, vbs
 
     @staticmethod
+    def effective_nodes(nodes: Sequence[int], swapped: bool) -> tuple:
+        """The ``(drain, gate, source, bulk)`` indices the stamps use:
+        drain and source exchange when the device is reverse biased."""
+        nd, ng, ns, nb = nodes
+        return (ns, ng, nd, nb) if swapped else (nd, ng, ns, nb)
+
+    @staticmethod
     def _stamp_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum):
         """The ``gm``/``gds``/``gmb`` block between the effective drain,
         gate, source and bulk nodes, shared by the Newton Jacobian and
-        the AC ``G`` part; ``batch._mos_adds`` mirrors its add order."""
+        the AC ``G`` part."""
         st.add(nd, ng, gm)
         st.add(nd, nd, gds)
         st.add(nd, nb, gmb)
@@ -399,11 +406,18 @@ class Mosfet(Device):
         st.add(ns, nb, -gmb)
         st.add(ns, ns, gsum)
 
+    def stamp_companion(self, st, nd, ng, ns, nb, gm, gds, gmb, gsum, ieq):
+        """The Newton companion stamp between the effective terminals:
+        the conductance block plus the equivalent current ``ieq``
+        (``stamp_dc`` calls it at the model's values, the sample-batched
+        plan at probe values to record its triplets)."""
+        self._stamp_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum)
+        st.add_rhs(nd, -ieq)
+        st.add_rhs(ns, ieq)
+
     def stamp_dc(self, st, x, nodes, branches):
         ev, swapped, vgs, vds, vbs = self._evaluate(x, nodes)
-        nd, ng, ns, nb = nodes
-        if swapped:
-            nd, ns = ns, nd
+        nd, ng, ns, nb = self.effective_nodes(nodes, swapped)
         gm, gds, gmb = ev.gm, ev.gds, ev.gmb
         gsum = gm + gds + gmb
         # Current flowing into the (effective, real-frame) drain terminal.
@@ -416,17 +430,13 @@ class Mosfet(Device):
         vb_r = _voltage(x, nb)
         i_d = pol * ev.ids
         ieq = i_d - (gm * vg_r + gds * vd_r + gmb * vb_r - gsum * vs_r)
-        self._stamp_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum)
-        st.add_rhs(nd, -ieq)
-        st.add_rhs(ns, ieq)
+        self.stamp_companion(st, nd, ng, ns, nb, gm, gds, gmb, gsum, ieq)
 
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
         if op is None:
             raise NetlistError(
                 f"mosfet {self.name}: AC stamp requires an operating point")
-        nd, ng, ns, nb = nodes
-        if op["swapped"]:
-            nd, ns = ns, nd
+        nd, ng, ns, nb = self.effective_nodes(nodes, op["swapped"])
         gm, gds, gmb = op["gm"], op["gds"], op["gmb"]
         self._stamp_conductances(st_g, nd, ng, ns, nb, gm, gds, gmb,
                                  gm + gds + gmb)

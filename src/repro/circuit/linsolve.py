@@ -62,6 +62,10 @@ from .netlist import Circuit, MnaLayout
 #: dense — and therefore bit-identical to the pre-backend code.
 AUTO_SPARSE_MIN_NODES = 120
 
+#: Conductance the AC engines stamp from every node to ground after all
+#: devices, so a node with no DC path keeps ``G + j*omega*B`` regular.
+AC_GMIN = 1e-12
+
 
 class TripletStamper:
     """COO-triplet MNA accumulator, duck-typed to :class:`Stamper`.
@@ -281,7 +285,7 @@ class PatternFactorizer:
     the diagonal, which it locates through ``perm_c``.  On the permuted
     structure that reference moves, so such a tie may pick a different
     valid pivot than :func:`_splu_factor` — the same one for every
-    factorizer.  The engines' matrices carry gmin (DC) or the ``1e-12``
+    factorizer.  The engines' matrices carry gmin (DC) or the ``AC_GMIN``
     stabilizer (AC) on every node diagonal, and no tie has been seen on
     them; a raw DC stamp without gmin does show one.
 
@@ -491,7 +495,7 @@ class DenseAcEngine:
             dev.stamp_ac_parts(st_g, st_b, nodes, branches,
                                ops.get(dev.name))
         diag = np.arange(layout.n_nodes)
-        st_g.matrix[diag, diag] += 1e-12
+        st_g.matrix[diag, diag] += AC_GMIN
         self._g = st_g.matrix
         self._b = st_b.matrix
         self.rhs = st_g.rhs + st_b.rhs
@@ -581,7 +585,7 @@ class SparseAcEngine:
                                         layout.device_branches):
             dev.stamp_ac_parts(st_g, st_b, nodes, branches,
                                ops.get(dev.name))
-        st_g.add_diagonal(layout.n_nodes, 1e-12)
+        st_g.add_diagonal(layout.n_nodes, AC_GMIN)
         n_g = len(st_g.rows)
         rows = np.asarray(st_g.rows + st_b.rows, dtype=np.int32)
         cols = np.asarray(st_g.cols + st_b.cols, dtype=np.int32)

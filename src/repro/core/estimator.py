@@ -18,7 +18,7 @@ found by an O(N log N) breakpoint sweep — no grid, no tolerance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class LinearizedYieldEstimator:
     @property
     def n_samples(self) -> int:
         return self.samples.n
-
-    @property
-    def model_keys(self) -> List[str]:
-        return [model.key for model in self.models]
 
     def _shifts(self, d: Mapping[str, float]) -> np.ndarray:
         """Per-model margin shift ``grad_d . (d - d_ref)`` (Eq. 20)."""

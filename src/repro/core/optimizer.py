@@ -70,7 +70,6 @@ class OptimizerConfig:
     seed: int = 2001
     use_constraints: bool = True  # False = Table 3 ablation
     linearize_at: str = "worst_case"  # "nominal" = Table 4 ablation
-    detect_quadratic: bool = True
     multistart: int = 2  # worst-case search restarts
     verify: bool = True  # run the simulation-based Y_tilde checks
     #: per-iteration relative trust region on each design parameter; the
@@ -420,9 +419,7 @@ class YieldOptimizer:
                     pool=pool)
                 models = build_spec_models(
                     guarded, d_f, wc, theta_wc,
-                    linearize_at=config.linearize_at,
-                    detect_quadratic_specs=config.detect_quadratic,
-                    pool=pool)
+                    linearize_at=config.linearize_at, pool=pool)
                 estimator = LinearizedYieldEstimator(models, samples)
 
                 if iteration == 1:

@@ -62,16 +62,6 @@ class FeasibilityError(ReproError):
     paper) or when a constraint function cannot be evaluated."""
 
 
-class WorstCaseError(ReproError):
-    """Raised when the worst-case point search (Eq. 8) cannot locate a point
-    on the specification boundary."""
-
-
-class OptimizationError(ReproError):
-    """Raised for unrecoverable failures inside the yield optimization loop
-    (Fig. 6 of the paper)."""
-
-
 class ArtifactError(ReproError):
     """Raised for malformed, incompatible, or unvalidatable stored result
     artifacts (the versioned JSON files written by ``yield --out``,

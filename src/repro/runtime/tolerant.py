@@ -67,16 +67,6 @@ class FaultTolerantEvaluator(EvaluatorWrapper):
         finally:
             self.fail_mode = previous
 
-    @contextmanager
-    def strict(self):
-        """Within this context, count-as-fail re-raises."""
-        previous = self.fail_mode
-        self.fail_mode = MODE_RAISE
-        try:
-            yield self
-        finally:
-            self.fail_mode = previous
-
     # -- policy-applying evaluation ----------------------------------------------
     def _failure_values(self, performances: Optional[Collection[str]]
                         ) -> Dict[str, float]:

@@ -71,21 +71,18 @@ def find_worst_case_operating_points(
     evaluate: Callable[[Mapping[str, float]], Mapping[str, float]],
     specs: Sequence[Spec],
     operating_range: OperatingRange,
-    include_nominal: bool = True,
 ) -> Dict[str, Dict[str, float]]:
     """Worst-case operating point per spec (Eq. 2), by corner enumeration.
 
     ``evaluate(theta)`` must return all performance values at the fixed
-    current design/statistical point.  For each spec the corner (optionally
-    including the nominal point) with the smallest normalized margin is
-    selected.  Returns spec-performance+kind key -> theta dict.
+    current design/statistical point.  For each spec the corner or the
+    nominal point with the smallest normalized margin is selected.
+    Returns spec-performance+kind key -> theta dict.
 
-    The number of ``evaluate`` calls is ``2^dim (+1)``, matching the
+    The number of ``evaluate`` calls is ``2^dim + 1``, matching the
     paper's effort bound.
     """
-    candidates = operating_range.corners()
-    if include_nominal:
-        candidates.append(operating_range.nominal())
+    candidates = operating_range.corners() + [operating_range.nominal()]
     evaluations = [(theta, evaluate(theta)) for theta in candidates]
     worst: Dict[str, Dict[str, float]] = {}
     for spec in specs:

@@ -35,6 +35,7 @@ from repro.circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
 from repro.circuit.dc import (CONVERGED, GMIN_FINAL, SOURCE_SCALES,
                               device_stage, gmin_schedule, newton_stage,
                               solve_dc)
+from repro.circuit.devices import Mosfet
 from repro.circuit.linsolve import resolve_backend
 from repro.circuits import CIRCUITS
 from repro.circuits.base import (DEAD_CIRCUIT_PERFORMANCES,
@@ -495,6 +496,90 @@ class TestProbeVerification:
         assert len(dvto) == len(set(dvto.values()))
         assert len(beta) == len(set(beta.values()))
         assert PROBE_RESISTANCE_FACTOR == 2.0  # exact in binary floats
+
+
+def _reversed_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum):
+    """``Mosfet._stamp_conductances`` with its eight adds in reverse
+    order: the same stamp in exact arithmetic, different bits."""
+    st.add(ns, ns, gsum)
+    st.add(ns, nb, -gmb)
+    st.add(ns, nd, -gds)
+    st.add(ns, ng, -gm)
+    st.add(nd, ns, -gsum)
+    st.add(nd, nb, gmb)
+    st.add(nd, nd, gds)
+    st.add(nd, ng, gm)
+
+
+def _split_conductances(st, nd, ng, ns, nb, gm, gds, gmb, gsum):
+    """``Mosfet._stamp_conductances`` adding ``-gsum`` at the drain row
+    as ``-(gm + gds)`` and ``-gmb``: the same stamp in exact arithmetic,
+    with a value that names no single quantity."""
+    st.add(nd, ng, gm)
+    st.add(nd, nd, gds)
+    st.add(nd, nb, gmb)
+    st.add(nd, ns, -(gm + gds))
+    st.add(nd, ns, -gmb)
+    st.add(ns, ng, -gm)
+    st.add(ns, nd, -gds)
+    st.add(ns, nb, -gmb)
+    st.add(ns, ns, gsum)
+
+
+STAMP_CORNERS = [{"temp": 125.0, "vdd": 3.0}, {"temp": -40.0, "vdd": 3.6}]
+
+
+def _assert_corner_parity(name, theta, warm, linsolve="auto"):
+    """Batched rows at ``theta`` equal the serial loop's, with the
+    batched plan in use (it is asserted to build)."""
+    t_serial = CIRCUITS[name]()
+    t_batched = CIRCUITS[name]()
+    for t in (t_serial, t_batched):
+        t.warm_dc = warm
+        t.linsolve = linsolve
+    d = t_serial.initial_design()
+    t_batched._batch_plan(d, theta)
+    rows = _rows(t_serial, 4, 17)
+    _assert_entries_match(_serial_entries(t_serial, d, rows, theta),
+                          t_batched.evaluate_batch(d, rows, theta))
+    assert t_serial.warm_cache_stats() == t_batched.warm_cache_stats()
+    assert t_serial.dc_effort_stats() == t_batched.dc_effort_stats()
+
+
+class TestPlanFollowsScalarStamps:
+    """The plan records its triplets from the scalar stamps, so an edit
+    of a stamp reaches both paths: an equivalent reordering keeps
+    bitwise parity, and a stamp the plan cannot decode makes it
+    refuse to batch."""
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("theta", STAMP_CORNERS,
+                             ids=["125C-3.0V", "-40C-3.6V"])
+    @pytest.mark.parametrize("name", DENSE_TEMPLATES)
+    def test_reordered_stamp_keeps_bitwise_parity(self, monkeypatch, name,
+                                                  theta, warm):
+        monkeypatch.setattr(Mosfet, "_stamp_conductances",
+                            staticmethod(_reversed_conductances))
+        _assert_corner_parity(name, theta, warm)
+
+    def test_reordered_stamp_keeps_parity_forced_sparse(self, monkeypatch):
+        monkeypatch.setattr(Mosfet, "_stamp_conductances",
+                            staticmethod(_reversed_conductances))
+        _assert_corner_parity("folded-cascode", STAMP_CORNERS[0], True,
+                              linsolve="sparse")
+
+    def test_undecodable_stamp_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(Mosfet, "_stamp_conductances",
+                            staticmethod(_split_conductances))
+        t_serial, t_batched = MillerOpamp(), MillerOpamp()
+        d = t_serial.initial_design()
+        theta = t_serial.operating_range.nominal()
+        with pytest.raises(BatchUnsupported, match="names no"):
+            t_batched._batch_plan(d, theta)
+        rows = _rows(t_serial, 4, 17)
+        _assert_entries_match(_serial_entries(t_serial, d, rows, theta),
+                              t_batched.evaluate_batch(d, rows, theta))
+        assert t_serial.warm_cache_stats() == t_batched.warm_cache_stats()
 
 
 class TestExecutorWiring:
