@@ -24,7 +24,7 @@ function, which the evaluation layer turns into opamp performances.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,6 +239,21 @@ def shared_matrix_transfers(systems: Sequence[AcSystem], node: str,
 SECTION_POINTS = 4
 
 
+def _unity_bracket(system: AcSystem, node: str, f_lo: float,
+                   f_hi: float) -> Tuple[float, float]:
+    """``(|H(f_lo)|, |H(f_hi)|)``, verified to bracket the unity-gain
+    crossing; raises :class:`ExtractionError` otherwise."""
+    g_lo = abs(system.transfer(node, f_lo))
+    if g_lo <= 1.0:
+        raise ExtractionError(
+            f"gain at {f_lo:g} Hz is {g_lo:.3g} <= 1; no transit frequency")
+    g_hi = abs(system.transfer(node, f_hi))
+    if g_hi >= 1.0:
+        raise ExtractionError(
+            f"gain at {f_hi:g} Hz is {g_hi:.3g} >= 1; sweep range too small")
+    return g_lo, g_hi
+
+
 def unity_gain_frequency(system: AcSystem, node: str,
                          f_lo: float = 1.0, f_hi: float = 1e12,
                          tol: float = 1e-8) -> float:
@@ -257,14 +272,7 @@ def unity_gain_frequency(system: AcSystem, node: str,
     Requires |H(f_lo)| > 1 > |H(f_hi)|; raises :class:`ExtractionError`
     otherwise (e.g. a dead circuit whose gain never exceeds one).
     """
-    g_lo = abs(system.transfer(node, f_lo))
-    if g_lo <= 1.0:
-        raise ExtractionError(
-            f"gain at {f_lo:g} Hz is {g_lo:.3g} <= 1; no transit frequency")
-    g_hi = abs(system.transfer(node, f_hi))
-    if g_hi >= 1.0:
-        raise ExtractionError(
-            f"gain at {f_hi:g} Hz is {g_hi:.3g} >= 1; sweep range too small")
+    _unity_bracket(system, node, f_lo, f_hi)
     lo, hi = math.log10(f_lo), math.log10(f_hi)
     while hi - lo > tol:
         grid = np.linspace(lo, hi, SECTION_POINTS + 2)[1:-1]
@@ -353,14 +361,7 @@ def warm_unity_crossing(system: AcSystem, node: str,
     call this same function, so their warm transit frequencies agree
     bitwise.
     """
-    g_lo = abs(system.transfer(node, f_lo))
-    if g_lo <= 1.0:
-        raise ExtractionError(
-            f"gain at {f_lo:g} Hz is {g_lo:.3g} <= 1; no transit frequency")
-    g_hi = abs(system.transfer(node, f_hi))
-    if g_hi >= 1.0:
-        raise ExtractionError(
-            f"gain at {f_hi:g} Hz is {g_hi:.3g} >= 1; sweep range too small")
+    g_lo, g_hi = _unity_bracket(system, node, f_lo, f_hi)
     return refine_unity_crossing(system, node, f_lo, f_hi, g_lo, g_hi, tol)
 
 

@@ -54,8 +54,8 @@ import numpy as np
 from ..errors import SingularMatrixError
 from .ac import AcSystem
 from .dc import DCResult, GMIN_FINAL, homotopy_chain
-from .devices import (Capacitor, Inductor, Isource, Mosfet, Resistor, Vcvs,
-                      Vccs, Vsource)
+from .devices import (OP_KEYS, Capacitor, Inductor, Isource, Mosfet,
+                      Resistor, Vcvs, Vccs, Vsource)
 from .linsolve import (AC_GMIN, DenseAcEngine, SparseAcEngine,
                        SparsePattern, TripletStamper, resolve_backend)
 from .mos import (REGION_NAMES, evaluate_nmos_stacked,
@@ -547,10 +547,9 @@ class SampleBatchPlan:
             self._mos_lam, self._mos_w_over_l,
             pol * self._vto[rows], self._kp[rows], vgs, vds_eff, vbs)
         gm, gds, gmb = ev["gm"], ev["gds"], ev["gmb"]
-        gsum = gm + gds + gmb
-        i_d = pol * ev["ids"]
-        ieq = i_d - (gm * vg0 + gds * vd_eff + gmb * vb0
-                     - gsum * vs_eff)
+        gsum = Mosfet.conductance_sum(gm, gds, gmb)
+        ieq = Mosfet.equivalent_current(pol, ev["ids"], gm, gds, gmb, gsum,
+                                        vd_eff, vg0, vs_eff, vb0)
         return {
             "gm": gm, "gds": gds, "gmb": gmb,
             "conductances": np.stack([gm, gds, gmb, gsum], axis=1),
@@ -791,27 +790,13 @@ class _RowDCResult(DCResult):
             i_r = v / float(self._res_r[j])
             return {"v": v, "i": i_r, "power": v * i_r}
         fin, i = self._fin, self._i
-        vds = float(fin["vds"][i, j])
-        vdsat = float(fin["vdsat"][i, j])
-        return {
-            "ids": float(fin["ids"][i, j]),
-            "gm": float(fin["gm"][i, j]),
-            "gds": float(fin["gds"][i, j]),
-            "gmb": float(fin["gmb"][i, j]),
-            "vgs": float(fin["vgs"][i, j]),
-            "vds": vds,
-            "vbs": float(fin["vbs"][i, j]),
-            "vth": float(fin["vth"][i, j]),
-            "vdsat": vdsat,
-            "vov": float(fin["vov"][i, j]),
-            "region": REGION_NAMES[int(fin["region"][i, j])],
-            "swapped": bool(fin["swapped"][i, j]),
-            "cgs": float(fin["cgs"][i, j]),
-            "cgd": float(fin["cgd"][i, j]),
-            "cdb": plan.mosfets[j].cj,
-            "csb": plan.mosfets[j].cj,
-            "sat_margin": vds - vdsat,
-        }
+        cj = plan.mosfets[j].cj
+        # OP_KEYS: ten floats, region, swapped, then the capacitances.
+        return Mosfet.op_record(
+            *(float(fin[key][i, j]) for key in OP_KEYS[:10]),
+            REGION_NAMES[int(fin["region"][i, j])],
+            bool(fin["swapped"][i, j]),
+            float(fin["cgs"][i, j]), float(fin["cgd"][i, j]), cj, cj)
 
     def op(self, device_name: str) -> dict:
         record = self._record(device_name)

@@ -329,6 +329,12 @@ class Vccs(Device):
         st.add(n, cn, self.gm)
 
 
+#: The quantities of a transistor's operating-point record, in order;
+#: the record closes with ``sat_margin = vds - vdsat``.
+OP_KEYS = ("ids", "gm", "gds", "gmb", "vgs", "vds", "vbs", "vth", "vdsat",
+           "vov", "region", "swapped", "cgs", "cgd", "cdb", "csb")
+
+
 class Mosfet(Device):
     """Four-terminal MOS transistor (drain, gate, source, bulk).
 
@@ -406,6 +412,29 @@ class Mosfet(Device):
         st.add(ns, nb, -gmb)
         st.add(ns, ns, gsum)
 
+    @staticmethod
+    def conductance_sum(gm, gds, gmb):
+        """``gsum`` of the conductance block, for the scalar stamps and
+        (on arrays) the sample-batched engine."""
+        return gm + gds + gmb
+
+    @staticmethod
+    def equivalent_current(pol, ids, gm, gds, gmb, gsum, vd, vg, vs, vb):
+        """The Newton companion's equivalent current ``ieq`` at the
+        effective terminal voltages: the real-frame drain current
+        ``pol * ids`` less its linearization (polarity reflection cancels
+        in the conductances, pol^2 = 1, but not in the current)."""
+        return pol * ids - (gm * vg + gds * vd + gmb * vb - gsum * vs)
+
+    @staticmethod
+    def op_record(*values) -> dict:
+        """The operating-point record of one transistor from its
+        :data:`OP_KEYS` values, shared by :meth:`operating_point` and the
+        sample-batched engine's rows."""
+        record = dict(zip(OP_KEYS, values))
+        record["sat_margin"] = record["vds"] - record["vdsat"]
+        return record
+
     def stamp_companion(self, st, nd, ng, ns, nb, gm, gds, gmb, gsum, ieq):
         """The Newton companion stamp between the effective terminals:
         the conductance block plus the equivalent current ``ieq``
@@ -419,17 +448,11 @@ class Mosfet(Device):
         ev, swapped, vgs, vds, vbs = self._evaluate(x, nodes)
         nd, ng, ns, nb = self.effective_nodes(nodes, swapped)
         gm, gds, gmb = ev.gm, ev.gds, ev.gmb
-        gsum = gm + gds + gmb
-        # Current flowing into the (effective, real-frame) drain terminal.
-        # Polarity reflection cancels in the conductances (pol^2 = 1) but
-        # not in the equivalent current.
-        pol = self._model_t.polarity
-        vd_r = _voltage(x, nd)
-        vg_r = _voltage(x, ng)
-        vs_r = _voltage(x, ns)
-        vb_r = _voltage(x, nb)
-        i_d = pol * ev.ids
-        ieq = i_d - (gm * vg_r + gds * vd_r + gmb * vb_r - gsum * vs_r)
+        gsum = self.conductance_sum(gm, gds, gmb)
+        ieq = self.equivalent_current(
+            self._model_t.polarity, ev.ids, gm, gds, gmb, gsum,
+            _voltage(x, nd), _voltage(x, ng), _voltage(x, ns),
+            _voltage(x, nb))
         self.stamp_companion(st, nd, ng, ns, nb, gm, gds, gmb, gsum, ieq)
 
     def stamp_ac_parts(self, st_g, st_b, nodes, branches, op):
@@ -439,7 +462,7 @@ class Mosfet(Device):
         nd, ng, ns, nb = self.effective_nodes(nodes, op["swapped"])
         gm, gds, gmb = op["gm"], op["gds"], op["gmb"]
         self._stamp_conductances(st_g, nd, ng, ns, nb, gm, gds, gmb,
-                                 gm + gds + gmb)
+                                 self.conductance_sum(gm, gds, gmb))
         st_b.add_conductance(ng, ns, op["cgs"])
         st_b.add_conductance(ng, nd, op["cgd"])
         st_b.add_conductance(nd, nb, op["cdb"])
@@ -447,27 +470,11 @@ class Mosfet(Device):
 
     def operating_point(self, x, nodes, branches):
         ev, swapped, vgs, vds, vbs = self._evaluate(x, nodes)
-        cgs, cgd, cdb, csb = intrinsic_capacitances(
-            self._model_t, self.w * self.m, self.l, ev.region)
-        return {
-            "ids": ev.ids,
-            "gm": ev.gm,
-            "gds": ev.gds,
-            "gmb": ev.gmb,
-            "vgs": vgs,
-            "vds": vds,
-            "vbs": vbs,
-            "vth": ev.vth,
-            "vdsat": ev.vdsat,
-            "vov": ev.vov,
-            "region": ev.region,
-            "swapped": swapped,
-            "cgs": cgs,
-            "cgd": cgd,
-            "cdb": cdb,
-            "csb": csb,
-            "sat_margin": vds - ev.vdsat,
-        }
+        return self.op_record(
+            ev.ids, ev.gm, ev.gds, ev.gmb, vgs, vds, vbs, ev.vth, ev.vdsat,
+            ev.vov, ev.region, swapped,
+            *intrinsic_capacitances(self._model_t, self.w * self.m, self.l,
+                                    ev.region))
 
     def stamp_tran(self, st, x, nodes, branches, state, h, t):
         # Nonlinear resistive part; intrinsic capacitances are attached by

@@ -202,22 +202,25 @@ def get_pattern(layout: MnaLayout, kind: str, rows: np.ndarray,
     return pattern
 
 
+def _singular(exc: Exception, context: str) -> SingularMatrixError:
+    """SuperLU's ``RuntimeError`` ("Factor is exactly singular") or
+    ``ValueError`` (an empty row or column) as the
+    :class:`SingularMatrixError` the dense path maps ``LinAlgError`` to."""
+    kind = "structurally singular" if isinstance(exc, ValueError) \
+        else "singular"
+    return SingularMatrixError(f"{kind} MNA matrix in {context}: {exc}")
+
+
 def _splu_factor(matrix: sp.csc_matrix, context: str):
-    """``splu`` with the package's error taxonomy: a structurally or
-    numerically singular matrix raises :class:`SingularMatrixError`, the
-    same class the dense path maps ``LinAlgError`` to."""
+    """``splu``, raising :func:`_singular`'s error on a singular
+    matrix."""
     try:
         # MMD on A^T + A: MNA matrices are structurally near-symmetric,
         # and this ordering measures a few percent faster than the
         # COLAMD default at these sizes.
         return splu(matrix, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularMatrixError(f"singular MNA matrix in {context}: "
-                                  f"{exc}") from exc
-    except ValueError as exc:  # structurally deficient (empty row/col)
-        raise SingularMatrixError(
-            f"structurally singular MNA matrix in {context}: {exc}"
-        ) from exc
+    except (RuntimeError, ValueError) as exc:
+        raise _singular(exc, context) from exc
 
 
 #: Exactly the option dict ``splu`` builds for
@@ -369,13 +372,8 @@ class PatternFactorizer:
             args, gather, perm_c = ordering
             return _PermutedLU(self._gstrf(args, data[gather],
                                            _NATURAL_OPTIONS), perm_c)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise SingularMatrixError(f"singular MNA matrix in {context}: "
-                                      f"{exc}") from exc
-        except ValueError as exc:  # structurally deficient (empty row/col)
-            raise SingularMatrixError(
-                f"structurally singular MNA matrix in {context}: {exc}"
-            ) from exc
+        except (RuntimeError, ValueError) as exc:
+            raise _singular(exc, context) from exc
         except TypeError:  # gstrf signature changed
             self._args = None
             return self._splu(data, context)

@@ -29,20 +29,23 @@ import collections
 import functools
 import logging
 import math
-from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
                              SampleBatchPlan, probe_maps)
-from ..circuit.dc import DcEffort, WarmStartCache, solve_dc
+from ..circuit.dc import DCResult, DcEffort, WarmStartCache, solve_dc
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError, ExtractionError, ReproError
 from ..evaluation.measure import AssembledBench, OpenLoopOpampBench
 from ..evaluation.template import CircuitTemplate, DesignParameter
+from ..pdk.process import Process
 from ..spec.operating import OperatingParameter, OperatingRange
 from ..spec.specification import Performance, Spec
-from ..statistics.space import PhysicalVariations, StatisticalSpace
+from ..statistics.space import (DeviceGeometry, LocalVariation,
+                                PhysicalVariations, StatisticalSpace)
 
 _LOG = logging.getLogger(__name__)
 
@@ -130,23 +133,44 @@ def default_operating_range() -> OperatingRange:
     ])
 
 
+def local_variations(devices: Mapping[str, tuple]
+                     ) -> Tuple[LocalVariation, ...]:
+    """One vth and one beta local parameter per device of the table
+    ``name -> (polarity, w, l)``, with Pelgrom sigmas bound to its
+    geometry (design-parameter names or fixed values in meters)."""
+    return tuple(
+        LocalVariation(name=f"{prefix}_{device}", device=device, kind=kind,
+                       polarity=polarity, geometry=DeviceGeometry(w=w, l=l))
+        for device, (polarity, w, l) in devices.items()
+        for prefix, kind in (("dvt", "vth"), ("dbeta", "beta")))
+
+
 class OpampTemplate(CircuitTemplate):
     """Base class for the benchmark opamps; see module docstring."""
 
     #: devices subject to the conduction + saturation sizing rules
     saturation_devices: Tuple[str, ...] = ()
 
-    def __init__(self, design_parameters: Sequence[DesignParameter],
+    def __init__(self, process: Process,
+                 design_parameters: Sequence[DesignParameter],
                  performances: Sequence[Performance],
                  specs: Sequence[Spec],
-                 operating_range: OperatingRange,
-                 statistical_space: StatisticalSpace):
+                 polarities: Mapping[str, int],
+                 local_devices: Mapping[str, tuple],
+                 with_global: bool = True):
+        """``polarities`` names every transistor the global variations
+        reach, ``local_devices`` (see :func:`local_variations`) those that
+        also carry local ones."""
+        self.process = process
+        space = StatisticalSpace(
+            process, local_variations=local_variations(local_devices),
+            with_global=with_global, device_polarities=polarities)
         constraint_names = []
         for device in self.saturation_devices:
             constraint_names.append(f"vov_{device}")
             constraint_names.append(f"sat_{device}")
         super().__init__(design_parameters, performances, specs,
-                         operating_range, statistical_space,
+                         default_operating_range(), space,
                          constraint_names)
         #: warm-start the DC solve of every testbench from a cached anchor
         #: operating point (set False to force cold homotopy solves, e.g.
@@ -173,23 +197,80 @@ class OpampTemplate(CircuitTemplate):
         (``None``: all declared ones), measuring only what they need
         (:func:`~repro.evaluation.template.measure_requested`)."""
 
-    # -- CircuitTemplate implementation ------------------------------------------
-    def _bench(self, d: Mapping[str, float], s_hat: np.ndarray,
-               theta: Mapping[str, float]) -> OpenLoopOpampBench:
-        pv = self.statistical_space.to_physical(d, s_hat)
-        circuit = self.build(d, pv, theta)
-        x0 = None
-        ft_hint = None
+    def local_vth_names(self) -> List[str]:
+        """Names of the local threshold parameters (mismatch-analysis
+        candidates); empty without local variations."""
+        return [lv.name for lv in self.statistical_space.local_variations
+                if lv.kind == "vth"]
+
+    # -- one row: warm start, testbench, measurement ---------------------------
+    def _warm_start(self, d: Mapping[str, float], s_hat: np.ndarray,
+                    theta: Mapping[str, float],
+                    key: Optional[tuple] = None) -> tuple:
+        """``(x0, ft_hint)`` of one row after exactly one anchor lookup:
+        its cell's warm anchor predicted at ``s_hat``, or ``(None,
+        None)`` — a cold start — with ``warm_dc`` off or no anchor.
+        ``key`` may pass the cell's :meth:`_warm_key`."""
         if self.warm_dc:
-            anchor = self._warm_anchor(d, theta)
+            anchor = self._warm_anchor(d, theta, key)
             if anchor is not None:
                 x, slopes, ft_hint = anchor
-                x0 = x + slopes @ s_hat
-        return OpenLoopOpampBench(circuit, out="out", supply_source="VDD",
-                                  temp_c=theta["temp"], x0=x0,
-                                  ft_hint=ft_hint, linsolve=self.linsolve,
-                                  dc_effort=self._dc_effort)
+                return x + slopes @ s_hat, ft_hint
+        return None, None
 
+    def _testbench(self, theta: Mapping[str, float], warm: tuple,
+                   circuit: Optional[Circuit] = None,
+                   op: Optional[DCResult] = None,
+                   build: Optional[Callable[[], Circuit]] = None
+                   ) -> OpenLoopOpampBench:
+        """The bench of one row at ``theta``, started from ``warm = (x0,
+        ft_hint)``: on the netlist ``circuit``, or for a row the plan
+        solved, an :class:`AssembledBench` over its operating point
+        ``op`` (``build`` makes the netlist on first access)."""
+        x0, ft_hint = warm
+        bench = dict(out="out", supply_source="VDD", temp_c=theta["temp"],
+                     x0=x0, ft_hint=ft_hint, linsolve=self.linsolve,
+                     dc_effort=self._dc_effort)
+        if op is None:
+            return OpenLoopOpampBench(circuit, **bench)
+        return AssembledBench(op, op.ac_systems, build, **bench)
+
+    def _measure(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
+                 theta: Mapping[str, float],
+                 performances: Optional[Collection[str]]
+                 ) -> Dict[str, float]:
+        """``extract``, or the requested performances' dead-circuit
+        sentinels when the measurement fails (see :meth:`evaluate`)."""
+        try:
+            return self.extract(bench, d, theta, performances)
+        except (AnalysisError, ExtractionError):
+            return {name: DEAD_CIRCUIT_PERFORMANCES.get(name, 0.0)
+                    for name in self.requested_performances(performances)}
+
+    def _evaluate_row(self, d: Mapping[str, float], pv: PhysicalVariations,
+                      theta: Mapping[str, float], warm: tuple,
+                      performances: Optional[Collection[str]]
+                      ) -> Dict[str, float]:
+        """:meth:`evaluate`'s body once the row's physical variations and
+        warm start are resolved; :meth:`evaluate_batch` runs it for every
+        row its plan drops."""
+        bench = self._testbench(theta, warm, self.build(d, pv, theta))
+        return self._measure(bench, d, theta, performances)
+
+    def _solve_dc_at(self, d: Mapping[str, float], s_hat: np.ndarray,
+                     theta: Mapping[str, float],
+                     seed: Callable[[], Optional[np.ndarray]] = lambda: None
+                     ) -> Tuple[Circuit, np.ndarray]:
+        """Build the testbench at ``(d, s_hat, theta)`` and solve its DC
+        operating point from the Newton start ``seed()``, called between
+        the build and the solve (``None``: the cold homotopy chain)."""
+        circuit = self.build(d, self.statistical_space.to_physical(d, s_hat),
+                             theta)
+        x = solve_dc(circuit, temp_c=theta["temp"], x0=seed(),
+                     backend=self.linsolve, effort=self._dc_effort).x
+        return circuit, x
+
+    # -- warm-start anchors --------------------------------------------------------
     def _warm_key(self, d: Mapping[str, float],
                   theta: Mapping[str, float]) -> tuple:
         """Key of the anchor cell containing ``(d, theta)``."""
@@ -241,21 +322,13 @@ class OpampTemplate(CircuitTemplate):
             return cached
         d_rep = dict(zip(self.design_names, key[0]))
         theta_rep = dict(key[1])
-        space = self.statistical_space
-        anchor: Optional[tuple] = None
         try:
-            pv = space.to_physical(d_rep, space.nominal())
-            circuit = self.build(d_rep, pv, theta_rep)
-            x_seed = self._chain_seed(key, d_rep, theta_rep)
-            x = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x_seed,
-                         backend=self.linsolve, effort=self._dc_effort).x
-            ft = None
+            circuit, x = self._solve_dc_at(
+                d_rep, self.statistical_space.nominal(), theta_rep,
+                lambda: self._chain_seed(key, d_rep, theta_rep))
             try:
-                bench = OpenLoopOpampBench(
-                    circuit, out="out", supply_source="VDD",
-                    temp_c=theta_rep["temp"], x0=x,
-                    linsolve=self.linsolve, dc_effort=self._dc_effort)
-                ft = bench.transit_frequency()
+                ft = self._testbench(theta_rep, (x, None),
+                                     circuit).transit_frequency()
             except (AnalysisError, ExtractionError):
                 ft = None
             anchor = (x, self._anchor_slopes(d_rep, theta_rep, x), ft)
@@ -285,13 +358,9 @@ class OpampTemplate(CircuitTemplate):
                 # The point already sits on the coarse grid: seeding from
                 # the parent would just cold-solve the same point twice.
                 return None
-            space = self.statistical_space
             try:
-                pv = space.to_physical(d_parent, space.nominal())
-                circuit = self.build(d_parent, pv, theta_parent)
-                x_parent = solve_dc(circuit, temp_c=theta_parent["temp"],
-                                    backend=self.linsolve,
-                                    effort=self._dc_effort).x
+                _, x_parent = self._solve_dc_at(
+                    d_parent, self.statistical_space.nominal(), theta_parent)
             except ReproError:
                 x_parent = None
             cache.chain_solves += 1
@@ -362,13 +431,10 @@ class OpampTemplate(CircuitTemplate):
                     i: int) -> Optional[np.ndarray]:
         """The serial secant along statistical axis ``i``: one warm
         ``solve_dc`` from ``x``; None when the perturbed solve fails."""
-        space = self.statistical_space
         try:
-            pv = space.to_physical(d_rep, _unit(space.dim, i))
-            circuit = self.build(d_rep, pv, theta_rep)
-            x_i = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x,
-                           backend=self.linsolve,
-                           effort=self._dc_effort).x
+            _, x_i = self._solve_dc_at(
+                d_rep, _unit(self.statistical_space.dim, i), theta_rep,
+                lambda: x)
         except ReproError:
             return None
         return x_i - x if x_i.size == x.size else None
@@ -388,17 +454,10 @@ class OpampTemplate(CircuitTemplate):
         not even a DC solution) is a yield loss, not a tool crash.  Only
         the requested performances are voided: a row whose f_t search
         fails keeps the values of a request that needs no f_t."""
-        bench = self._bench(d, s_hat, theta)
-        try:
-            return self.extract(bench, d, theta, performances)
-        except (AnalysisError, ExtractionError):
-            return self._dead_values(performances)
-
-    def _dead_values(self, performances: Optional[Collection[str]]
-                     ) -> Dict[str, float]:
-        """The dead-circuit sentinels of the requested performances."""
-        return {name: DEAD_CIRCUIT_PERFORMANCES.get(name, 0.0)
-                for name in self.requested_performances(performances)}
+        pv = self.statistical_space.to_physical(d, s_hat)
+        return self._evaluate_row(d, pv, theta,
+                                  self._warm_start(d, s_hat, theta),
+                                  performances)
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
@@ -419,8 +478,8 @@ class OpampTemplate(CircuitTemplate):
         :class:`~repro.evaluation.measure.AssembledBench`, whose operating
         point and (on first use) AC systems are read from the plan's
         arrays.  Any row the plan cannot carry — no warm anchor,
-        non-finite warm start, singular matrix, exhausted chain — is
-        re-run through the exact serial body, so results *and* fault
+        non-finite warm start, singular matrix, exhausted chain — runs
+        :meth:`evaluate`'s own body, so results *and* fault
         classification match the serial loop sample for sample.  A
         single row runs the serial loop.
         """
@@ -438,34 +497,24 @@ class OpampTemplate(CircuitTemplate):
         for start in range(0, len(rows), DEFAULT_BATCH_SAMPLES):
             chunk = range(start, min(start + DEFAULT_BATCH_SAMPLES,
                                      len(rows)))
-            # Row-order pre-pass, replicating _bench's per-row effort:
-            # to_physical, then exactly one warm-anchor lookup per row.
+            # Row-order pre-pass: evaluate's to_physical and warm start.
             pv_of: dict = {}
             warm_of: dict = {}
             batched: list = []
             serial: Dict[int, str] = {}
             for i in chunk:
                 try:
-                    pv = space.to_physical(d, rows[i])
+                    pv_of[i] = space.to_physical(d, rows[i])
+                    warm_of[i] = self._warm_start(d, rows[i], theta,
+                                                  warm_key)
                 except Exception as exc:
                     entries[i] = exc
                     continue
-                pv_of[i] = pv
-                if not self.warm_dc:
-                    # Serial _bench does no anchor lookup either: the
-                    # whole chunk enters the chain at the cold stage.
-                    warm_of[i] = (None, None)
-                    batched.append(i)
-                    continue
-                anchor = self._warm_anchor(d, theta, warm_key)
-                if anchor is None:
-                    warm_of[i] = (None, None)
+                x0 = warm_of[i][0]
+                if x0 is None and self.warm_dc:
                     serial[i] = "no anchor"
-                    continue
-                x, slopes, ft_hint = anchor
-                x0 = x + slopes @ rows[i]
-                warm_of[i] = (x0, ft_hint)
-                if len(x0) == size and np.all(np.isfinite(x0)):
+                elif x0 is None or (len(x0) == size
+                                    and np.all(np.isfinite(x0))):
                     batched.append(i)
                 else:  # solve_dc would skip the warm stage
                     serial[i] = "non-finite warm start"
@@ -486,25 +535,21 @@ class OpampTemplate(CircuitTemplate):
                 if entries[i] is not None:
                     continue
                 k = carried.get(i)
-                if k is None:
-                    entries[i] = self._serial_row(d, pv_of[i], theta,
-                                                  warm_of[i], performances)
-                    continue
-                x0, ft_hint = warm_of[i]
-                op = plan.operating_point(k, int(iters[k]), strategies[k])
-                bench = AssembledBench(
-                    op, op.ac_systems,
-                    functools.partial(self.build, d, pv_of[i], theta),
-                    out="out", supply_source="VDD", temp_c=theta["temp"],
-                    x0=x0, ft_hint=ft_hint, linsolve=self.linsolve,
-                    dc_effort=self._dc_effort)
-                # The serial body counts when extract touches the lazy
-                # bench.op; the batched operating point counts here.
-                self._dc_effort.count(strategies[k])
                 try:
-                    entries[i] = self.extract(bench, d, theta, performances)
-                except (AnalysisError, ExtractionError):
-                    entries[i] = self._dead_values(performances)
+                    if k is None:
+                        entries[i] = self._evaluate_row(
+                            d, pv_of[i], theta, warm_of[i], performances)
+                        continue
+                    op = plan.operating_point(k, int(iters[k]),
+                                              strategies[k])
+                    bench = self._testbench(
+                        theta, warm_of[i], op=op,
+                        build=functools.partial(self.build, d, pv_of[i],
+                                                theta))
+                    # evaluate counts when extract touches the lazy
+                    # bench.op; the batched operating point counts here.
+                    self._dc_effort.count(strategies[k])
+                    entries[i] = self._measure(bench, d, theta, performances)
                 except Exception as exc:
                     entries[i] = exc
         return entries
@@ -516,28 +561,6 @@ class OpampTemplate(CircuitTemplate):
                    len(serial), n_rows,
                    ", ".join(f"{reason}: {count}"
                              for reason, count in reasons.items()))
-
-    def _serial_row(self, d: Mapping[str, float], pv: PhysicalVariations,
-                    theta: Mapping[str, float], warm: tuple,
-                    performances: Optional[Collection[str]]):
-        """The exact serial body of :meth:`evaluate` for one row whose
-        physical variations and warm anchor were already resolved (the
-        anchor lookup must not be repeated — counter parity)."""
-        x0, ft_hint = warm
-        try:
-            circuit = self.build(d, pv, theta)
-            bench = OpenLoopOpampBench(
-                circuit, out="out", supply_source="VDD",
-                temp_c=theta["temp"], x0=x0, ft_hint=ft_hint,
-                linsolve=self.linsolve, dc_effort=self._dc_effort)
-        except Exception as exc:
-            return exc
-        try:
-            return self.extract(bench, d, theta, performances)
-        except (AnalysisError, ExtractionError):
-            return self._dead_values(performances)
-        except Exception as exc:
-            return exc
 
     def _batch_plan(self, d: Mapping[str, float],
                     theta: Mapping[str, float]) -> SampleBatchPlan:
@@ -569,7 +592,10 @@ class OpampTemplate(CircuitTemplate):
         """Sizing rules at the nominal statistical point."""
         if theta is None:
             theta = self.operating_range.nominal()
-        bench = self._bench(d, self.statistical_space.nominal(), theta)
+        s_hat = self.statistical_space.nominal()
+        pv = self.statistical_space.to_physical(d, s_hat)
+        bench = self._testbench(theta, self._warm_start(d, s_hat, theta),
+                                self.build(d, pv, theta))
         values: Dict[str, float] = {}
         try:
             ops = bench.op.operating_points()

@@ -26,7 +26,7 @@ CMRR > 80 dB, SR > 35 V/us, Power < 3.5 mW.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Mapping, Optional, Tuple, Union
 
 from ..circuit.netlist import Circuit
 from ..evaluation.measure import OpenLoopOpampBench, add_openloop_bench
@@ -34,9 +34,8 @@ from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
-from ..statistics.space import (DeviceGeometry, LocalVariation,
-                                PhysicalVariations, StatisticalSpace)
-from .base import OpampTemplate, default_operating_range
+from ..statistics.space import PhysicalVariations
+from .base import OpampTemplate
 
 #: Fixed elements.
 LOAD_CAPACITANCE = 2e-12
@@ -78,17 +77,18 @@ _SPECS = (
     Spec("power", "<=", 3.5),
 )
 
-#: Core transistors: polarity and geometry binding (design-parameter names).
-_DEVICES: Dict[str, Tuple[int, str, str]] = {
+#: Core transistors (all carry local variations): polarity and geometry
+#: binding (design-parameter names, or the fixed cascode length).
+_DEVICES: Dict[str, Tuple[int, str, Union[str, float]]] = {
     "M0": (-1, "w0", "l0"),
     "M1": (-1, "w1", "l1"),
     "M2": (-1, "w1", "l1"),
     "M3": (1, "w3", "l3"),
     "M4": (1, "w3", "l3"),
-    "M5": (1, "w5", "_lc"),
-    "M6": (1, "w5", "_lc"),
-    "M7": (-1, "w7", "_lc"),
-    "M8": (-1, "w7", "_lc"),
+    "M5": (1, "w5", CASCODE_LENGTH),
+    "M6": (1, "w5", CASCODE_LENGTH),
+    "M7": (-1, "w7", CASCODE_LENGTH),
+    "M8": (-1, "w7", CASCODE_LENGTH),
     "M9": (-1, "w9", "l9"),
     "M10": (-1, "w9", "l9"),
 }
@@ -105,23 +105,6 @@ MATCHED_PAIRS = (("M1", "M2"), ("M3", "M4"), ("M5", "M6"), ("M7", "M8"),
                  ("M9", "M10"))
 
 
-def _local_variations() -> Tuple[LocalVariation, ...]:
-    """One vth and one beta local parameter per core transistor, with
-    Pelgrom sigmas bound to the device's design-parameter geometry."""
-    variations: List[LocalVariation] = []
-    for device, (polarity, w_name, l_name) in _DEVICES.items():
-        geometry = DeviceGeometry(
-            w=w_name,
-            l=CASCODE_LENGTH if l_name == "_lc" else l_name)
-        variations.append(LocalVariation(
-            name=f"dvt_{device}", device=device, kind="vth",
-            polarity=polarity, geometry=geometry))
-        variations.append(LocalVariation(
-            name=f"dbeta_{device}", device=device, kind="beta",
-            polarity=polarity, geometry=geometry))
-    return tuple(variations)
-
-
 class FoldedCascodeOpamp(OpampTemplate):
     """The Fig.-7 benchmark circuit as a sizing problem."""
 
@@ -131,14 +114,9 @@ class FoldedCascodeOpamp(OpampTemplate):
 
     def __init__(self, process: Process = GENERIC035,
                  with_local: bool = True, with_global: bool = True):
-        self.process = process
-        space = StatisticalSpace(
-            process,
-            local_variations=_local_variations() if with_local else (),
-            with_global=with_global,
-            device_polarities=_POLARITIES)
-        super().__init__(_DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
-                         default_operating_range(), space)
+        super().__init__(process, _DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
+                         _POLARITIES, _DEVICES if with_local else {},
+                         with_global)
 
     # -- netlist ----------------------------------------------------------------
     def build(self, d: Mapping[str, float], pv: PhysicalVariations,
@@ -215,10 +193,3 @@ class FoldedCascodeOpamp(OpampTemplate):
             / LOAD_CAPACITANCE / 1e6,
             "power": lambda: bench.supply_power(theta["vdd"]) * 1e3,
         })
-
-    # -- conveniences ----------------------------------------------------------------
-    def local_vth_names(self) -> List[str]:
-        """Names of the local threshold parameters (mismatch-analysis
-        candidates)."""
-        return [lv.name for lv in self.statistical_space.local_variations
-                if lv.kind == "vth"]

@@ -32,8 +32,8 @@ from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
-from ..statistics.space import PhysicalVariations, StatisticalSpace
-from .base import OpampTemplate, default_operating_range
+from ..statistics.space import PhysicalVariations
+from .base import OpampTemplate
 
 #: Fixed elements (not designable).
 LOAD_CAPACITANCE = 20e-12
@@ -82,12 +82,8 @@ class MillerOpamp(OpampTemplate):
     saturation_devices = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
 
     def __init__(self, process: Process = GENERIC035):
-        self.process = process
-        space = StatisticalSpace(process, local_variations=(),
-                                 with_global=True,
-                                 device_polarities=_POLARITIES)
-        super().__init__(_DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
-                         default_operating_range(), space)
+        super().__init__(process, _DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
+                         _POLARITIES, {})
 
     # -- design equations -----------------------------------------------------
     def bias_current_estimate(self, d: Mapping[str, float],

@@ -19,7 +19,7 @@ Both global and local variations are modelled.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..circuit.noise import input_referred_density, solve_noise
@@ -28,9 +28,8 @@ from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
-from ..statistics.space import (DeviceGeometry, LocalVariation,
-                                PhysicalVariations, StatisticalSpace)
-from .base import OpampTemplate, default_operating_range
+from ..statistics.space import PhysicalVariations
+from .base import OpampTemplate
 
 LOAD_CAPACITANCE = 2e-12
 DIODE_W = 20e-6
@@ -79,19 +78,6 @@ _POLARITIES = {**{k: v[0] for k, v in _DEVICES.items()}, "MB": 1}
 MATCHED_PAIRS = (("M1", "M2"), ("M3", "M4"))
 
 
-def _local_variations() -> Tuple[LocalVariation, ...]:
-    variations: List[LocalVariation] = []
-    for device, (polarity, w_name, l_name) in _DEVICES.items():
-        geometry = DeviceGeometry(w=w_name, l=l_name)
-        variations.append(LocalVariation(
-            name=f"dvt_{device}", device=device, kind="vth",
-            polarity=polarity, geometry=geometry))
-        variations.append(LocalVariation(
-            name=f"dbeta_{device}", device=device, kind="beta",
-            polarity=polarity, geometry=geometry))
-    return tuple(variations)
-
-
 class FiveTransistorOta(OpampTemplate):
     """The classic 5T OTA as a sizing problem with a noise spec."""
 
@@ -100,14 +86,9 @@ class FiveTransistorOta(OpampTemplate):
 
     def __init__(self, process: Process = GENERIC035,
                  with_local: bool = True, with_global: bool = True):
-        self.process = process
-        space = StatisticalSpace(
-            process,
-            local_variations=_local_variations() if with_local else (),
-            with_global=with_global,
-            device_polarities=_POLARITIES)
-        super().__init__(_DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
-                         default_operating_range(), space)
+        super().__init__(process, _DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
+                         _POLARITIES, _DEVICES if with_local else {},
+                         with_global)
 
     def build(self, d: Mapping[str, float], pv: PhysicalVariations,
               theta: Mapping[str, float]) -> Circuit:
@@ -156,8 +137,3 @@ class FiveTransistorOta(OpampTemplate):
             "power": lambda: bench.supply_power(theta["vdd"]) * 1e3,
             "noise": noise,
         })
-
-    def local_vth_names(self) -> List[str]:
-        """Names of the local threshold parameters."""
-        return [lv.name for lv in self.statistical_space.local_variations
-                if lv.kind == "vth"]

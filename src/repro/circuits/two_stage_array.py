@@ -42,7 +42,7 @@ Performances: ``a0`` [dB], ``ft`` [MHz], ``cmrr`` [dB], ``sr`` [V/us],
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..evaluation.measure import OpenLoopOpampBench, add_openloop_bench
@@ -50,9 +50,8 @@ from ..evaluation.template import DesignParameter, measure_requested
 from ..pdk.generic035 import GENERIC035
 from ..pdk.process import Process
 from ..spec.specification import Performance, Spec
-from ..statistics.space import (DeviceGeometry, LocalVariation,
-                                PhysicalVariations, StatisticalSpace)
-from .base import OpampTemplate, default_operating_range
+from ..statistics.space import PhysicalVariations
+from .base import OpampTemplate
 
 #: Output-stage segmentation (parallel fingers of the drivers/sinks).
 N_SEGMENTS = 8
@@ -131,21 +130,6 @@ _POLARITIES = {
 MATCHED_PAIRS = (("M1", "M2"), ("M3", "M4"))
 
 
-def _local_variations() -> Tuple[LocalVariation, ...]:
-    """vth + beta locals for the two matched pairs only (see module
-    docstring), with Pelgrom sigmas bound to the design geometry."""
-    variations: List[LocalVariation] = []
-    for device, (polarity, w_name, l_name) in _LOCAL_DEVICES.items():
-        geometry = DeviceGeometry(w=w_name, l=l_name)
-        variations.append(LocalVariation(
-            name=f"dvt_{device}", device=device, kind="vth",
-            polarity=polarity, geometry=geometry))
-        variations.append(LocalVariation(
-            name=f"dbeta_{device}", device=device, kind="beta",
-            polarity=polarity, geometry=geometry))
-    return tuple(variations)
-
-
 class TwoStageArrayOpamp(OpampTemplate):
     """The segmented-output two-stage amplifier as a sizing problem."""
 
@@ -154,14 +138,9 @@ class TwoStageArrayOpamp(OpampTemplate):
 
     def __init__(self, process: Process = GENERIC035,
                  with_local: bool = True, with_global: bool = True):
-        self.process = process
-        space = StatisticalSpace(
-            process,
-            local_variations=_local_variations() if with_local else (),
-            with_global=with_global,
-            device_polarities=_POLARITIES)
-        super().__init__(_DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
-                         default_operating_range(), space)
+        super().__init__(process, _DESIGN_PARAMETERS, _PERFORMANCES, _SPECS,
+                         _POLARITIES, _LOCAL_DEVICES if with_local else {},
+                         with_global)
 
     # -- netlist ----------------------------------------------------------------
     def build(self, d: Mapping[str, float], pv: PhysicalVariations,
@@ -259,12 +238,6 @@ class TwoStageArrayOpamp(OpampTemplate):
         })
 
     # -- conveniences ----------------------------------------------------------------
-    def local_vth_names(self) -> List[str]:
-        """Names of the local threshold parameters (mismatch-analysis
-        candidates)."""
-        return [lv.name for lv in self.statistical_space.local_variations
-                if lv.kind == "vth"]
-
     def nominal_mna_size(self) -> int:
         """MNA unknown count of the nominal netlist (used by tests and
         benchmarks to confirm the template sits in sparse territory)."""

@@ -294,8 +294,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"  {key:>10}: beta = {wc.beta_wc:+7.2f}  "
               f"({wc.method}{'' if wc.on_boundary else ', clamped'})")
     names = list(template.statistical_space.names)
-    candidates = template.local_vth_names() \
-        if hasattr(template, "local_vth_names") else None
+    candidates = template.local_vth_names()
     if candidates:
         report = analyze_mismatch(worst_case, names,
                                   candidate_names=candidates,

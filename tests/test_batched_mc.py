@@ -88,6 +88,22 @@ def _assert_entries_match(serial, batched):
                 f"row {j} {key}: serial {a[key]!r} != batched {b[key]!r}"
 
 
+def _drop_every_other_row(monkeypatch):
+    """Make ``SampleBatchPlan.solve`` report its even rows as not
+    carried, so the caller runs them on its serial path."""
+    solve = batch_module.SampleBatchPlan.solve
+
+    def dropping(self, x0s):
+        x, iterations, ok, strategies = solve(self, x0s)
+        ok = ok.copy()
+        ok[::2] = False
+        strategies = [None if k % 2 == 0 else label
+                      for k, label in enumerate(strategies)]
+        return x, iterations, ok, strategies
+
+    monkeypatch.setattr(batch_module.SampleBatchPlan, "solve", dropping)
+
+
 def _parity_case(name, n, seed, linsolve="auto"):
     """Run serial and batched paths on fresh template instances and
     assert value + warm-cache-counter parity."""
@@ -115,6 +131,31 @@ class TestBitwiseParity:
     def test_dense_templates_forced_sparse(self, name):
         # VCVS and inductor branch columns in the reused SuperLU ordering
         _parity_case(name, n=5, seed=11, linsolve="sparse")
+
+    @pytest.mark.parametrize("linsolve", ["dense", "sparse"])
+    def test_warm_rows_the_plan_drops_run_evaluate(self, monkeypatch,
+                                                   caplog, linsolve):
+        """Warm-started rows the plan drops run evaluate's own body:
+        entries, warm-cache and DC-strategy counters equal the evaluate
+        loop's."""
+        def run(evaluate_rows):
+            template = CIRCUITS["ota"]()
+            template.linsolve = linsolve
+            d = template.initial_design()
+            theta = template.operating_range.nominal()
+            entries = evaluate_rows(template, d, _rows(template, 6, 23),
+                                    theta)
+            return (entries, template.warm_cache_stats(),
+                    template.dc_effort_stats())
+
+        serial = run(_serial_entries)
+        _drop_every_other_row(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="repro.circuits.base"):
+            batched = run(lambda t, *args: t.evaluate_batch(*args))
+        assert "(singular matrix or exhausted chain: 3)" in caplog.text
+        _assert_entries_match(serial[0], batched[0])
+        assert serial[1:] == batched[1:]
+        assert serial[1]["hits"] > 0
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         t_a = CIRCUITS["miller"]()
@@ -567,6 +608,24 @@ class TestPlanFollowsScalarStamps:
                             staticmethod(_reversed_conductances))
         _assert_corner_parity("folded-cascode", STAMP_CORNERS[0], True,
                               linsolve="sparse")
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("name", DENSE_TEMPLATES)
+    def test_reassociated_conductance_sum_keeps_bitwise_parity(
+            self, monkeypatch, name, warm):
+        """Both engines take the companion's ``gsum`` from
+        ``Mosfet.conductance_sum``: summed in another order (other bits),
+        batched rows still equal the serial loop's."""
+        engines = set()
+
+        def reassociated(gm, gds, gmb):
+            engines.add(isinstance(gm, np.ndarray))
+            return gmb + gds + gm
+
+        monkeypatch.setattr(Mosfet, "conductance_sum",
+                            staticmethod(reassociated))
+        _assert_corner_parity(name, {"temp": 27.0, "vdd": 3.3}, warm)
+        assert engines == {True, False}
 
     def test_undecodable_stamp_runs_serially(self, monkeypatch):
         monkeypatch.setattr(Mosfet, "_stamp_conductances",
@@ -1052,16 +1111,6 @@ class TestBatchedAnchorSlopes:
         assert batched[1][label] == CIRCUITS[name]().statistical_space.dim
 
     def test_rows_the_plan_drops_run_serially(self, monkeypatch):
-        solve = batch_module.SampleBatchPlan.solve
-
-        def dropping(self, x0s):
-            x, iterations, ok, strategies = solve(self, x0s)
-            ok = ok.copy()
-            ok[::2] = False
-            strategies = [None if k % 2 == 0 else label
-                          for k, label in enumerate(strategies)]
-            return x, iterations, ok, strategies
-
         def run():
             template = CIRCUITS["folded-cascode"]()
             d = template.initial_design()
@@ -1071,7 +1120,7 @@ class TestBatchedAnchorSlopes:
                 template.dc_effort_stats()
 
         exact = run()
-        monkeypatch.setattr(batch_module.SampleBatchPlan, "solve", dropping)
+        _drop_every_other_row(monkeypatch)
         assert run() == exact
 
 

@@ -86,6 +86,13 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "worst-case distances" in out
 
+    def test_analyze_without_local_variations(self, capsys):
+        # Miller models global variations only: no mismatch candidates.
+        assert main(["analyze", "miller"]) == 0
+        out = capsys.readouterr().out
+        assert "worst-case distances" in out
+        assert "mismatch-sensitive" not in out
+
     def test_optimize_quick(self, capsys):
         code = main(["optimize", "ota", "--iterations", "1",
                      "--samples", "2000", "--verify-samples", "30",
