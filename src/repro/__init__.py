@@ -36,9 +36,9 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import (circuit, circuits, core, errors, evaluation, pdk, reporting,
-               runtime, spec, statistics, units, yieldsim)
+from . import (circuit, circuits, core, counters, errors, evaluation, pdk,
+               reporting, runtime, spec, statistics, units, yieldsim)
 
-__all__ = ["circuit", "circuits", "core", "errors", "evaluation", "pdk",
-           "reporting", "runtime", "spec", "statistics", "units",
+__all__ = ["circuit", "circuits", "core", "counters", "errors", "evaluation",
+           "pdk", "reporting", "runtime", "spec", "statistics", "units",
            "yieldsim", "__version__"]

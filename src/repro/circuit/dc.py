@@ -44,6 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..counters import Counters
 from ..errors import ConvergenceError
 from .devices import Isource, Vsource, _voltage
 from .linsolve import resolve_backend
@@ -371,24 +372,7 @@ def solve_dc(circuit: Circuit, temp_c: float = 27.0,
     return DCResult(circuit, layout, x[0], temp_c, int(iterations[0]), label)
 
 
-class _Counters:
-    """Snapshot arithmetic shared by :class:`DcEffort` and
-    :class:`WarmStartCache`, whose ``stats()`` carry the monotone
-    counters named in ``COUNTER_KEYS``."""
-
-    COUNTER_KEYS: Tuple[str, ...] = ()
-
-    @classmethod
-    def counter_delta(cls, after: Dict[str, int],
-                      before: Dict[str, int]) -> Dict[str, int]:
-        """Monotone-counter difference of two ``stats()`` snapshots, in
-        ``COUNTER_KEYS`` order, so reports serialize the same under any
-        hash seed."""
-        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
-                for key in cls.COUNTER_KEYS}
-
-
-class DcEffort(_Counters):
+class DcEffort(Counters):
     """Per-strategy DC solve counters, additive across pool workers.
 
     One counter per homotopy strategy label (``newton-warm`` / ``newton``
@@ -396,36 +380,15 @@ class DcEffort(_Counters):
     that exhaust every stage.  :func:`solve_dc` increments the winning
     label when handed an instance, and the batched engine increments the
     same labels for lockstep-solved samples, so the counters stay exact
-    regardless of which path ran a sample.  The counter API mirrors
-    :class:`WarmStartCache` (``stats``/``absorb``/``counter_delta``) so
-    the run telemetry can fold deltas through pool workers and shard
-    merges identically.
+    regardless of which path ran a sample.
     """
 
-    COUNTER_KEYS = ("newton-warm", "newton", "gmin-stepping",
-                    "source-stepping", "failed")
-
     def __init__(self):
-        self._counts: Dict[str, int] = {key: 0 for key in self.COUNTER_KEYS}
-
-    def count(self, label: str, n: int = 1) -> None:
-        """Record ``n`` DC solves settled by strategy ``label``."""
-        self._counts[label] = self._counts.get(label, 0) + int(n)
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot for telemetry (additive across workers)."""
-        return dict(self._counts)
-
-    def absorb(self, counters: Dict[str, int]) -> None:
-        """Fold counter deltas from another instance (a pool worker's)."""
-        for key, value in counters.items():
-            self._counts[key] = self._counts.get(key, 0) + int(value)
-
-    def clear(self) -> None:
-        self._counts = {key: 0 for key in self.COUNTER_KEYS}
+        super().__init__("newton-warm", "newton", "gmin-stepping",
+                         "source-stepping", "failed")
 
 
-class WarmStartCache(_Counters):
+class WarmStartCache:
     """Bounded FIFO store of DC anchor solutions, keyed by quantized
     ``(d, theta)`` cells.
 
@@ -441,9 +404,8 @@ class WarmStartCache(_Counters):
     ROADMAP "anchor-of-anchor" chain).  Chain anchors are keyed by a
     deterministic function of the fine key alone — never by solve
     history — so every anchor remains a pure function of its key and
-    pooled/serial evaluation stay bit-identical.  Counters
-    (``hits``/``misses``/``chain_seeds``/``chain_solves``/``evictions``)
-    feed the run telemetry (:meth:`stats`).
+    pooled/serial evaluation stay bit-identical.  ``counts`` feed the
+    run telemetry (:meth:`stats`).
     """
 
     _MISSING = object()
@@ -456,14 +418,12 @@ class WarmStartCache(_Counters):
                 f"chain_maxsize must be >= 1, got {chain_maxsize}")
         self.maxsize = maxsize
         self.chain_maxsize = chain_maxsize
-        self.hits = 0
-        self.misses = 0
-        #: fine-cell representative solves seeded from a chain anchor
-        self.chain_seeds = 0
-        #: coarse-cell (chain) representatives cold-solved
-        self.chain_solves = 0
-        #: entries dropped from either store by the FIFO bound
-        self.evictions = 0
+        #: lookup hits and misses; fine-cell representative solves
+        #: seeded from a chain anchor; coarse-cell (chain)
+        #: representatives cold-solved; entries either store's FIFO
+        #: bound dropped
+        self.counts = Counters("hits", "misses", "chain_seeds",
+                               "chain_solves", "evictions")
         self._data: Dict[tuple, Optional[np.ndarray]] = {}
         self._chain: Dict[tuple, Optional[np.ndarray]] = {}
 
@@ -471,10 +431,7 @@ class WarmStartCache(_Counters):
         """The cached anchor (may be None for a failed cell), or the
         :data:`WarmStartCache._MISSING` sentinel when unknown."""
         value = self._data.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-        else:
-            self.hits += 1
+        self.counts["misses" if value is self._MISSING else "hits"] += 1
         return value
 
     def store(self, key: tuple, x) -> None:
@@ -483,7 +440,7 @@ class WarmStartCache(_Counters):
         Arrays are copied so callers cannot mutate cached state."""
         if key not in self._data and len(self._data) >= self.maxsize:
             self._data.pop(next(iter(self._data)))
-            self.evictions += 1
+            self.counts["evictions"] += 1
         if x is None:
             value = None
         elif isinstance(x, tuple):
@@ -505,30 +462,14 @@ class WarmStartCache(_Counters):
         """Cache a coarse-cell chain anchor (``x`` vector or ``None``)."""
         if key not in self._chain and len(self._chain) >= self.chain_maxsize:
             self._chain.pop(next(iter(self._chain)))
-            self.evictions += 1
+            self.counts["evictions"] += 1
         self._chain[key] = None if x is None \
             else np.asarray(x, dtype=float).copy()
 
-    #: monotone counters (deltas of these fold additively across pool
-    #: workers; the ``entries``/``chain_entries`` gauges do not)
-    COUNTER_KEYS = ("hits", "misses", "chain_seeds", "chain_solves",
-                    "evictions")
-
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for telemetry (additive across workers)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "chain_seeds": self.chain_seeds,
-                "chain_solves": self.chain_solves,
-                "evictions": self.evictions,
-                "entries": len(self._data),
+        """The counts and the ``entries``/``chain_entries`` gauges."""
+        return {**self.counts, "entries": len(self._data),
                 "chain_entries": len(self._chain)}
-
-    def absorb(self, counters: Dict[str, int]) -> None:
-        """Fold counter deltas from another cache (a pool worker's) into
-        this one; gauges in ``counters`` are ignored."""
-        for key in self.COUNTER_KEYS:
-            setattr(self, key, getattr(self, key)
-                    + int(counters.get(key, 0)))
 
     def clear(self) -> None:
         self._data.clear()

@@ -38,6 +38,7 @@ from ..circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
                              SampleBatchPlan, probe_maps)
 from ..circuit.dc import DCResult, DcEffort, WarmStartCache, solve_dc
 from ..circuit.netlist import Circuit
+from ..counters import Counters
 from ..errors import AnalysisError, ExtractionError, ReproError
 from ..evaluation.measure import AssembledBench, OpenLoopOpampBench
 from ..evaluation.template import CircuitTemplate, DesignParameter
@@ -224,15 +225,16 @@ class OpampTemplate(CircuitTemplate):
                    build: Optional[Callable[[], Circuit]] = None
                    ) -> OpenLoopOpampBench:
         """The bench of one row at ``theta``, started from ``warm = (x0,
-        ft_hint)``: on the netlist ``circuit``, or for a row the plan
-        solved, an :class:`AssembledBench` over its operating point
-        ``op`` (``build`` makes the netlist on first access)."""
+        ft_hint)``: on the netlist ``circuit`` and, when given, its solved
+        operating point ``op``, or for a row the plan solved, an
+        :class:`AssembledBench` over its operating point ``op``
+        (``build`` makes the netlist on first access)."""
         x0, ft_hint = warm
         bench = dict(out="out", supply_source="VDD", temp_c=theta["temp"],
                      x0=x0, ft_hint=ft_hint, linsolve=self.linsolve,
                      dc_effort=self._dc_effort)
-        if op is None:
-            return OpenLoopOpampBench(circuit, **bench)
+        if build is None:
+            return OpenLoopOpampBench(circuit, op=op, **bench)
         return AssembledBench(op, op.ac_systems, build, **bench)
 
     def _measure(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
@@ -260,15 +262,15 @@ class OpampTemplate(CircuitTemplate):
     def _solve_dc_at(self, d: Mapping[str, float], s_hat: np.ndarray,
                      theta: Mapping[str, float],
                      seed: Callable[[], Optional[np.ndarray]] = lambda: None
-                     ) -> Tuple[Circuit, np.ndarray]:
+                     ) -> Tuple[Circuit, DCResult]:
         """Build the testbench at ``(d, s_hat, theta)`` and solve its DC
         operating point from the Newton start ``seed()``, called between
         the build and the solve (``None``: the cold homotopy chain)."""
         circuit = self.build(d, self.statistical_space.to_physical(d, s_hat),
                              theta)
-        x = solve_dc(circuit, temp_c=theta["temp"], x0=seed(),
-                     backend=self.linsolve, effort=self._dc_effort).x
-        return circuit, x
+        return circuit, solve_dc(circuit, temp_c=theta["temp"], x0=seed(),
+                                 backend=self.linsolve,
+                                 effort=self._dc_effort)
 
     # -- warm-start anchors --------------------------------------------------------
     def _warm_key(self, d: Mapping[str, float],
@@ -323,12 +325,13 @@ class OpampTemplate(CircuitTemplate):
         d_rep = dict(zip(self.design_names, key[0]))
         theta_rep = dict(key[1])
         try:
-            circuit, x = self._solve_dc_at(
+            circuit, op = self._solve_dc_at(
                 d_rep, self.statistical_space.nominal(), theta_rep,
                 lambda: self._chain_seed(key, d_rep, theta_rep))
+            x = op.x
             try:
-                ft = self._testbench(theta_rep, (x, None),
-                                     circuit).transit_frequency()
+                ft = self._testbench(theta_rep, (None, None), circuit,
+                                     op).transit_frequency()
             except (AnalysisError, ExtractionError):
                 ft = None
             anchor = (x, self._anchor_slopes(d_rep, theta_rep, x), ft)
@@ -359,23 +362,29 @@ class OpampTemplate(CircuitTemplate):
                 # the parent would just cold-solve the same point twice.
                 return None
             try:
-                _, x_parent = self._solve_dc_at(
-                    d_parent, self.statistical_space.nominal(), theta_parent)
+                x_parent = self._solve_dc_at(
+                    d_parent, self.statistical_space.nominal(),
+                    theta_parent)[1].x
             except ReproError:
                 x_parent = None
-            cache.chain_solves += 1
+            cache.counts["chain_solves"] += 1
             cache.store_chain(parent_key, x_parent)
         if x_parent is not None:
-            cache.chain_seeds += 1
+            cache.counts["chain_seeds"] += 1
         return x_parent
 
+    def counters(self) -> Dict[str, Counters]:
+        """The warm-anchor and per-strategy DC counts, by group."""
+        return {"warm_cache": self._warm_cache.counts,
+                "dc_effort": self._dc_effort}
+
     def warm_cache_stats(self) -> Dict[str, int]:
-        """Warm-start cache counters for run telemetry."""
+        """Warm-start cache counters and gauges for run telemetry."""
         return self._warm_cache.stats()
 
     def dc_effort_stats(self) -> Dict[str, int]:
         """Per-strategy DC solve counters for run telemetry."""
-        return self._dc_effort.stats()
+        return dict(self._dc_effort)
 
     def _anchor_slopes(self, d_rep: Mapping[str, float],
                        theta_rep: Mapping[str, float],
@@ -432,9 +441,9 @@ class OpampTemplate(CircuitTemplate):
         """The serial secant along statistical axis ``i``: one warm
         ``solve_dc`` from ``x``; None when the perturbed solve fails."""
         try:
-            _, x_i = self._solve_dc_at(
+            x_i = self._solve_dc_at(
                 d_rep, _unit(self.statistical_space.dim, i), theta_rep,
-                lambda: x)
+                lambda: x)[1].x
         except ReproError:
             return None
         return x_i - x if x_i.size == x.size else None

@@ -295,7 +295,6 @@ class YieldOptimizer:
                           stop_reason: Optional[str] = None) -> None:
         if not self.checkpoint_path:
             return
-        evaluator = self.evaluator
         save_checkpoint(self.checkpoint_path, OptimizerCheckpoint(
             template_name=self.template.name,
             seed=self.config.seed,
@@ -305,13 +304,7 @@ class YieldOptimizer:
             previous_wc=previous_wc,
             sample_state={"n": samples.n, "dim": samples.dim,
                           "seed": self.config.seed},
-            counters={
-                "simulations": evaluator.simulation_count,
-                "requests": evaluator.request_count,
-                "constraint": evaluator.constraint_count,
-                "cache_hits": evaluator.cache_hits,
-                "cache_misses": evaluator.cache_misses,
-            },
+            counters=dict(self.evaluator.counts),
             wall_time_s=wall_offset + (time.time() - start_time),
             stop_reason=stop_reason))
 
@@ -328,12 +321,7 @@ class YieldOptimizer:
                 f"original trajectory")
         # Fold the checkpointed effort back in, so cumulative Table-7
         # accounting spans the whole logical run across restarts.
-        self.evaluator.absorb_counts(
-            simulations=state.counters.get("simulations", 0),
-            requests=state.counters.get("requests", 0),
-            constraint=state.counters.get("constraint", 0),
-            cache_hits=state.counters.get("cache_hits", 0),
-            cache_misses=state.counters.get("cache_misses", 0))
+        self.evaluator.counts.absorb(state.counters)
         return state
 
     # -- main loop ----------------------------------------------------------------

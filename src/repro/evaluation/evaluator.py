@@ -30,6 +30,7 @@ from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List,
 
 import numpy as np
 
+from ..counters import Counters, view
 from ..errors import ReproError
 from .template import CircuitTemplate
 
@@ -142,6 +143,12 @@ class EvaluatorWrapper(EvaluatorBase):
 class Evaluator(EvaluatorBase):
     """Counting/caching façade over a circuit template."""
 
+    simulation_count = view("simulations", "performance simulations run")
+    request_count = view("requests", "evaluate() requests, hits included")
+    constraint_count = view("constraint", "DC-only constraint simulations")
+    cache_hits = view("cache_hits", "requests answered from the cache")
+    cache_misses = view("cache_misses", "requests that had to simulate")
+
     def __init__(self, template: CircuitTemplate):
         self.template = template
         self._cache: Dict[Tuple, Entry] = {}
@@ -156,16 +163,9 @@ class Evaluator(EvaluatorBase):
                 p.name for p in template.operating_range.parameters)
         except AttributeError:
             self._theta_names = None
-        #: number of performance simulations actually run (cache misses)
-        self.simulation_count = 0
-        #: number of evaluate() requests (including cache hits)
-        self.request_count = 0
-        #: number of constraint evaluations (DC-only simulations)
-        self.constraint_count = 0
-        #: number of evaluate() requests answered from the cache
-        self.cache_hits = 0
-        #: number of evaluate() requests that had to simulate
-        self.cache_misses = 0
+        #: the Table-7 effort counts, read through the views above
+        self.counts = Counters("simulations", "requests", "constraint",
+                               "cache_hits", "cache_misses")
 
     # -- core ------------------------------------------------------------------
     def _key(self, d: Mapping[str, float], s_hat: np.ndarray,
@@ -201,17 +201,18 @@ class Evaluator(EvaluatorBase):
         """The values of ``performances`` (``None``: every performance)
         at ``(d, s_hat, theta)``; see the module docstring for the cache
         rule."""
-        self.request_count += 1
+        counts = self.counts
+        counts["requests"] += 1
         wanted = _wanted(performances)
         key = self._key(d, s_hat, theta)
         cached = self._cache.get(key)
         if cached is not None and _covers(cached[1], wanted):
-            self.cache_hits += 1
+            counts["cache_hits"] += 1
             return _select(cached[0], wanted)
         run = self._widen(cached, wanted)
         result = self.template.evaluate(d, s_hat, theta, run)
-        self.simulation_count += 1
-        self.cache_misses += 1
+        counts["simulations"] += 1
+        counts["cache_misses"] += 1
         self._store(key, result, run)
         return _select(result, wanted)
 
@@ -279,11 +280,12 @@ class Evaluator(EvaluatorBase):
             produced.update((keys[i], (entry, run))
                             for i, entry in zip(members, entries))
         results: List = []
+        counts = self.counts
         for i, key in enumerate(keys):
-            self.request_count += 1
+            counts["requests"] += 1
             cached = self._cache.get(key)
             if cached is not None and _covers(cached[1], wanted):
-                self.cache_hits += 1
+                counts["cache_hits"] += 1
                 results.append(_select(cached[0], wanted))
                 continue
             entry, run = produced.pop(key, (None, None))
@@ -302,36 +304,25 @@ class Evaluator(EvaluatorBase):
                 # counts the request alone.
                 results.append(entry)
                 continue
-            self.simulation_count += 1
-            self.cache_misses += 1
+            counts["simulations"] += 1
+            counts["cache_misses"] += 1
             self._store(key, entry, run)
             results.append(_select(entry, wanted))
         return results
 
     def constraints(self, d: Mapping[str, float]) -> Dict[str, float]:
         """Functional constraint values c(d) (>= 0 feasible)."""
-        self.constraint_count += 1
+        self.counts["constraint"] += 1
         return self.template.constraints(d)
+
+    def counters(self) -> Dict[str, Counters]:
+        """This stack's effort counts by group: the evaluator's and the
+        template's (see :mod:`repro.counters`)."""
+        return {"evaluator": self.counts, **self.template.counters()}
 
     def reset_counters(self) -> None:
         """Zero the simulation counters (cache is kept)."""
-        self.simulation_count = 0
-        self.request_count = 0
-        self.constraint_count = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def absorb_counts(self, simulations: int = 0, requests: int = 0,
-                      constraint: int = 0, cache_hits: int = 0,
-                      cache_misses: int = 0) -> None:
-        """Fold counters produced elsewhere (e.g. by process-pool workers,
-        each of which simulates against its own evaluator copy) into this
-        evaluator's accounting, so Table-7 effort reports stay complete."""
-        self.simulation_count += simulations
-        self.request_count += requests
-        self.constraint_count += constraint
-        self.cache_hits += cache_hits
-        self.cache_misses += cache_misses
+        self.counts.update(dict.fromkeys(self.counts, 0))
 
     def clear_cache(self) -> None:
         self._cache.clear()

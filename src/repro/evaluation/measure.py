@@ -69,12 +69,14 @@ def add_openloop_bench(circuit: Circuit, inp: str, inn: str, out: str,
 
 class OpenLoopOpampBench:
     """Measurement driver for a circuit built with
-    :func:`add_openloop_bench`."""
+    :func:`add_openloop_bench`; ``op`` may hand it the circuit's already
+    solved operating point."""
 
     def __init__(self, circuit: Optional[Circuit], out: str = "out",
                  supply_source: str = "VDD", temp_c: float = 27.0,
                  x0=None, ft_hint: Optional[float] = None,
-                 linsolve=None, dc_effort=None):
+                 linsolve=None, dc_effort=None,
+                 op: Optional[DCResult] = None):
         self._circuit = circuit
         self.out = out
         self.supply_source = supply_source
@@ -94,7 +96,7 @@ class OpenLoopOpampBench:
         #: optional :class:`repro.circuit.dc.DcEffort` counter bundle the
         #: lazy DC solve reports its winning strategy into
         self.dc_effort = dc_effort
-        self._op: Optional[DCResult] = None
+        self._op = op
         self._systems: dict = {}
         self._gains: Optional[Tuple[float, float]] = None
         self._ft: Optional[float] = None
@@ -226,8 +228,7 @@ class AssembledBench(OpenLoopOpampBench):
     def __init__(self, op: DCResult,
                  systems: Callable[[], Dict[tuple, AcSystem]],
                  build: Callable[[], Circuit], **bench):
-        super().__init__(None, **bench)
-        self._op = op
+        super().__init__(None, op=op, **bench)
         self._assemble = systems
         self._build = build
 

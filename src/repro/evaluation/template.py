@@ -26,6 +26,7 @@ from typing import (Callable, Collection, Dict, Mapping, Optional, Sequence,
 
 import numpy as np
 
+from ..counters import Counters
 from ..errors import ReproError
 from ..spec.operating import OperatingRange
 from ..spec.specification import Performance, Spec, check_unique_performances
@@ -165,6 +166,11 @@ class CircuitTemplate(abc.ABC):
             except Exception as exc:
                 entries.append(exc)
         return entries
+
+    def counters(self) -> Dict[str, Counters]:
+        """The template's effort counts by group (see
+        :mod:`repro.counters`); none by default."""
+        return {}
 
     # -- convenience -----------------------------------------------------------
     def requested_performances(self,

@@ -32,6 +32,7 @@ from typing import Collection, Dict, Mapping, Optional
 
 import numpy as np
 
+from ..counters import Counters, view
 from ..evaluation.evaluator import EvaluatorWrapper
 from .policy import FaultAction, FaultPolicy
 
@@ -43,18 +44,26 @@ MODE_NAN = "nan"
 class FaultTolerantEvaluator(EvaluatorWrapper):
     """Policy-applying evaluator facade (see module docstring)."""
 
+    failed_evaluations = view("failed_evaluations",
+                              "evaluations that ended count-as-fail")
+    retried_evaluations = view("retried_evaluations",
+                               "retry attempts issued")
+    recovered_evaluations = view("recovered_evaluations",
+                                 "evaluations a retry recovered")
+
     def __init__(self, evaluator, policy: Optional[FaultPolicy] = None,
                  fail_mode: str = MODE_RAISE):
         super().__init__(evaluator)
         self.policy = policy or FaultPolicy()
         self.fail_mode = fail_mode
-        #: evaluations that ended count-as-fail (lenient: NaN returned;
-        #: strict: the error re-raised after classification)
-        self.failed_evaluations = 0
-        #: individual retry attempts issued
-        self.retried_evaluations = 0
-        #: evaluations that failed at least once but succeeded on a retry
-        self.recovered_evaluations = 0
+        #: the policy's outcome counts, read through the views above
+        self.counts = Counters("failed_evaluations", "retried_evaluations",
+                               "recovered_evaluations")
+
+    def counters(self) -> Dict[str, Counters]:
+        """The wrapped stack's effort counts and the policy's, by group
+        (see :mod:`repro.counters`)."""
+        return {**self._inner.counters(), "policy": self.counts}
 
     # -- modes --------------------------------------------------------------------
     @contextmanager
@@ -111,19 +120,19 @@ class FaultTolerantEvaluator(EvaluatorWrapper):
             if action is FaultAction.ABORT:
                 raise exc
             if action is FaultAction.RETRY and attempt < retry.attempts:
-                self.retried_evaluations += 1
+                self.counts["retried_evaluations"] += 1
                 point = self.policy.jittered(d, s_hat, theta, attempt)
                 attempt += 1
                 try:
                     values = self._inner.evaluate(d, point, theta,
                                                   performances)
-                    self.recovered_evaluations += 1
+                    self.counts["recovered_evaluations"] += 1
                     return values
                 except Exception as new_exc:
                     exc = new_exc
                     continue
             # COUNT_AS_FAIL, or RETRY with the attempt budget spent.
-            self.failed_evaluations += 1
+            self.counts["failed_evaluations"] += 1
             if self.fail_mode == MODE_RAISE:
                 raise exc
             return self._failure_values(performances)

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .. import counters
 from ..evaluation.evaluator import Evaluator
 from ..spec.operating import group_by_theta, spec_key
 from .executor import BatchExecutor, BatchOutcome, ExecutionConfig
@@ -104,13 +105,8 @@ class YieldEstimator(abc.ABC):
             requests.append(template.requested_performances(
                 {specs[key].performance for key in keys}))
 
-        before = (evaluator.simulation_count, evaluator.request_count,
-                  evaluator.cache_hits, evaluator.cache_misses)
-        retried0 = getattr(evaluator, "retried_evaluations", 0)
-        warm_stats = getattr(template, "warm_cache_stats", None)
-        warm0 = warm_stats() if callable(warm_stats) else None
-        dc_stats = getattr(template, "dc_effort_stats", None)
-        dc0 = dc_stats() if callable(dc_stats) else None
+        stack = evaluator.counters()
+        before = counters.snapshot(stack)
         with PhaseTimer(report, "simulate"):
             outcome = BatchExecutor(self.execution, pool=self.pool).run(
                 evaluator, d, thetas, matrix, requests)
@@ -135,35 +131,24 @@ class YieldEstimator(abc.ABC):
             for passes in spec_pass.values():
                 indicator &= passes
 
+        # The stack's counts include the folded pool-worker effort.
+        spent = counters.since(stack, before)
+        own = spent["evaluator"]
         report.theta_groups = len(thetas)
-        report.simulations += evaluator.simulation_count - before[0]
-        report.requests += evaluator.request_count - before[1]
-        report.cache_hits += evaluator.cache_hits - before[2]
-        report.cache_misses += evaluator.cache_misses - before[3]
         report.backend = outcome.backend
         report.jobs = outcome.jobs
-        report.chunks += outcome.chunks
-        report.retried_chunks += outcome.retried_chunks
-        report.timed_out_chunks += outcome.timed_out_chunks
-        report.failed_samples += int(np.count_nonzero(failed))
-        report.retried_evaluations += \
-            getattr(evaluator, "retried_evaluations", 0) - retried0
-        report.degraded_to_serial |= outcome.degraded_to_serial
-        report.pool_incompatible |= outcome.pool_incompatible
-        if warm0 is not None:
-            # Warm-start cache effort accrued during this run (the parent
-            # counters already include folded pool-worker deltas).
-            from ..circuit.dc import WarmStartCache
-            delta = WarmStartCache.counter_delta(warm_stats(), warm0)
-            for key, value in delta.items():
-                report.warm_cache[key] = \
-                    report.warm_cache.get(key, 0) + value
-        if dc0 is not None:
-            from ..circuit.dc import DcEffort
-            delta = DcEffort.counter_delta(dc_stats(), dc0)
-            for key, value in delta.items():
-                report.dc_effort[key] = \
-                    report.dc_effort.get(key, 0) + value
+        report.add(RunReport(
+            simulations=own["simulations"], requests=own["requests"],
+            cache_hits=own["cache_hits"], cache_misses=own["cache_misses"],
+            chunks=outcome.chunks, retried_chunks=outcome.retried_chunks,
+            timed_out_chunks=outcome.timed_out_chunks,
+            failed_samples=int(np.count_nonzero(failed)),
+            retried_evaluations=spent.get("policy", {}).get(
+                "retried_evaluations", 0),
+            degraded_to_serial=outcome.degraded_to_serial,
+            pool_incompatible=outcome.pool_incompatible,
+            warm_cache=spent.get("warm_cache", {}),
+            dc_effort=spent.get("dc_effort", {})))
         return SampleEvaluation(spec_values=spec_values,
                                 spec_pass=spec_pass,
                                 indicator=indicator, failed=failed,

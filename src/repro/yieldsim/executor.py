@@ -24,13 +24,13 @@ either serially (sharing the caller's cached
   terminated (a hung process must not outlive the run), tasks that
   finished before the collapse are harvested and the rest run serially
   in the parent;
-* workers ship back the **cache writes** each task made plus its
-  warm-start, DC-effort and fault-policy counter deltas; the parent
-  folds them in dispatch order via :func:`fold_task`, which reproduces
-  a serial run's cache and every Table-7 counter.  The warm-start and
-  DC-effort counts are totals over the workers instead: each worker
-  owns a private anchor cache, so they depend on which worker ran
-  which task;
+* workers ship back the **cache writes** each task made plus the
+  difference of their stack's counts over the task
+  (:mod:`repro.counters`); the parent folds them in dispatch order via
+  :func:`fold_task`, which reproduces a serial run's cache and every
+  Table-7 counter.  The warm-start and DC-effort counts are totals over
+  the workers instead: each worker owns a private anchor cache, so they
+  depend on which worker ran which task;
 * an evaluation stack the workers cannot replicate (e.g. a
   fault-injecting wrapper, whose call-order state lives in the parent)
   runs serially.
@@ -44,12 +44,14 @@ import multiprocessing
 import sys
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Collection, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
+from .. import counters
+from ..counters import Snapshot
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
 
@@ -175,77 +177,28 @@ def _evaluate_probes(evaluator, points: Sequence[Tuple]
 _WORKER: Dict[str, object] = {}
 
 
-@dataclass
-class TaskCounts:
-    """Evaluator-side effort of one pool task, in parent-foldable form.
-
-    ``entries`` are the cache writes the task made in its worker's
-    evaluator, in order (:meth:`~repro.evaluation.evaluator.Evaluator.
-    recording`); ``hits`` are the task's local cache hits.
-    ``failed``/``retried``/``recovered`` mirror the per-task
-    :class:`~repro.runtime.tolerant.FaultTolerantEvaluator` counters.
-    """
-
-    requests: int = 0
-    hits: int = 0
-    entries: List[Tuple[Tuple, tuple]] = field(default_factory=list)
-    failed: int = 0
-    retried: int = 0
-    recovered: int = 0
-    #: warm-start cache counter deltas of the task (additive; empty when
-    #: the template has no warm cache)
-    warm: Dict[str, int] = field(default_factory=dict)
-    #: per-strategy DC effort counter deltas of the task (additive; empty
-    #: when the template has no DC effort counters)
-    dc: Dict[str, int] = field(default_factory=dict)
-
-
 def _init_pool_worker(template) -> None:
     """Pool initializer: one private evaluator per worker, reused across
     tasks (its cache persists, so repeated nominal/gradient points hit)."""
     _WORKER["evaluator"] = Evaluator(template)
 
 
-def _warm_stats(evaluator: Evaluator) -> Dict[str, int]:
-    stats = getattr(evaluator.template, "warm_cache_stats", None)
-    return stats() if callable(stats) else {}
-
-
-def _dc_stats(evaluator: Evaluator) -> Dict[str, int]:
-    stats = getattr(evaluator.template, "dc_effort_stats", None)
-    return stats() if callable(stats) else {}
-
-
 def _pool_task(fn: Callable, task: Tuple, policy, fail_mode
-               ) -> Tuple[object, TaskCounts]:
-    """Run ``fn(target, *task)`` inside a worker; returns its value and
-    the task's effort.  The target is the worker evaluator, wrapped in a
-    fresh fault-tolerant facade when the parent runs one (fresh => its
-    counters are exactly this task's deltas)."""
-    from ..circuit.dc import DcEffort, WarmStartCache
+               ) -> Tuple[object, Snapshot, list]:
+    """Run ``fn(target, *task)`` inside a worker; returns its value, the
+    difference of the worker stack's counts over the task
+    (:func:`repro.counters.since`) and the cache writes it made.  The
+    target is the worker evaluator, wrapped in a fresh fault-tolerant
+    facade when the parent runs one."""
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    target, guarded = evaluator, None
+    target = evaluator
     if policy is not None:
         from ..runtime.tolerant import FaultTolerantEvaluator
-        target = guarded = FaultTolerantEvaluator(evaluator, policy,
-                                                  fail_mode)
-    requests, hits = evaluator.request_count, evaluator.cache_hits
-    warm0, dc0 = _warm_stats(evaluator), _dc_stats(evaluator)
+        target = FaultTolerantEvaluator(evaluator, policy, fail_mode)
+    before = counters.snapshot(target.counters())
     with evaluator.recording() as writes:
         value = fn(target, *task)
-    dc = _dc_stats(evaluator)
-    counts = TaskCounts(
-        requests=evaluator.request_count - requests,
-        hits=evaluator.cache_hits - hits,
-        entries=writes,
-        warm=WarmStartCache.counter_delta(_warm_stats(evaluator), warm0)
-        if warm0 else {},
-        dc=DcEffort.counter_delta(dc, dc0) if dc or dc0 else {})
-    if guarded is not None:
-        counts.failed = guarded.failed_evaluations
-        counts.retried = guarded.retried_evaluations
-        counts.recovered = guarded.recovered_evaluations
-    return value, counts
+    return value, counters.since(target.counters(), before), writes
 
 
 # -- parent side ---------------------------------------------------------------
@@ -265,40 +218,25 @@ def unwrap_pool_stack(evaluator):
     return None
 
 
-def fold_task(evaluator, counts: TaskCounts) -> None:
+def fold_task(evaluator, spent: Snapshot, writes: list) -> None:
     """Fold one task's effort into the parent evaluation stack.
 
-    The fold reconstructs exactly what a serial run would have counted:
-    every write the parent cache does not cover is one simulation + one
-    miss; every write it covers would have been a hit
-    (:meth:`~repro.evaluation.evaluator.Evaluator.absorb_cache`).
-    Tasks must be folded in a deterministic order (the dispatch order),
-    never completion order.
+    ``spent`` and ``writes`` are what :func:`_pool_task` returned.  The
+    fold reconstructs what a serial run would have counted: every write
+    the parent cache does not cover is one simulation + one miss; every
+    write it covers would have been a hit
+    (:meth:`~repro.evaluation.evaluator.Evaluator.absorb_cache`).  Every
+    other count adds as the worker counted it; the warm-anchor and DC
+    counts are therefore totals over the workers, each with a private
+    anchor cache.  Tasks must be folded in a deterministic order (the
+    dispatch order), never completion order.
     """
-    inner = evaluator
-    maybe = unwrap_pool_stack(evaluator)
-    if maybe is not None:
-        inner = maybe[0]
-    new, duplicate = inner.absorb_cache(counts.entries)
-    inner.absorb_counts(simulations=new, requests=counts.requests,
-                        cache_hits=counts.hits + duplicate,
-                        cache_misses=new)
-    if counts.failed or counts.retried or counts.recovered:
-        if hasattr(evaluator, "failed_evaluations"):
-            evaluator.failed_evaluations += counts.failed
-            evaluator.retried_evaluations += counts.retried
-            evaluator.recovered_evaluations += counts.recovered
-    if counts.warm and any(counts.warm.values()):
-        # Surface the workers' warm-anchor effort in the parent template's
-        # counters.  This is a fleet-wide *effort* total (each worker owns
-        # a private anchor cache), not a replay of the serial hit pattern.
-        warm_cache = getattr(inner.template, "_warm_cache", None)
-        if warm_cache is not None:
-            warm_cache.absorb(counts.warm)
-    if counts.dc and any(counts.dc.values()):
-        dc_effort = getattr(inner.template, "_dc_effort", None)
-        if dc_effort is not None:
-            dc_effort.absorb(counts.dc)
+    inner = unwrap_pool_stack(evaluator)[0]
+    new, duplicate = inner.absorb_cache(writes)
+    own = spent["evaluator"]
+    own.update(simulations=new, cache_misses=new,
+               cache_hits=own["cache_hits"] + duplicate)
+    counters.absorb(evaluator.counters(), spent)
 
 
 @dataclass
@@ -413,8 +351,8 @@ class PoolHandle:
                 run.rerun += 1
                 run.results.append(serial(task))
             else:
-                value, counts = payload
-                fold_task(evaluator, counts)
+                value, spent, writes = payload
+                fold_task(evaluator, spent, writes)
                 run.results.append(value)
         if cause is not None:
             run.died = True

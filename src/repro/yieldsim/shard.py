@@ -127,30 +127,12 @@ def merge_reports(reports: Sequence[RunReport]) -> Optional[RunReport]:
     merged = RunReport(estimator=reports[0].estimator)
     backends = []
     for report in reports:
-        merged.n_samples += report.n_samples
+        merged.add(report)
         merged.theta_groups = max(merged.theta_groups,
                                   report.theta_groups)
-        merged.simulations += report.simulations
-        merged.requests += report.requests
-        merged.cache_hits += report.cache_hits
-        merged.cache_misses += report.cache_misses
         merged.jobs = max(merged.jobs, report.jobs)
-        merged.chunks += report.chunks
-        merged.retried_chunks += report.retried_chunks
-        merged.timed_out_chunks += report.timed_out_chunks
-        merged.failed_samples += report.failed_samples
-        merged.retried_evaluations += report.retried_evaluations
-        merged.degraded_to_serial |= report.degraded_to_serial
-        merged.pool_incompatible |= report.pool_incompatible
         if report.backend not in backends:
             backends.append(report.backend)
-        for key, count in report.warm_cache.items():
-            merged.warm_cache[key] = merged.warm_cache.get(key, 0) + count
-        for key, count in report.dc_effort.items():
-            merged.dc_effort[key] = merged.dc_effort.get(key, 0) + count
-        for phase, seconds in report.phase_seconds.items():
-            merged.phase_seconds[phase] = \
-                merged.phase_seconds.get(phase, 0.0) + seconds
     merged.backend = backends[0] if len(backends) == 1 else "mixed"
     return merged
 

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict
+
+
+#: the :class:`RunReport` counts :meth:`RunReport.add` sums
+_COUNTS = ("n_samples", "simulations", "requests", "cache_hits",
+           "cache_misses", "chunks", "retried_chunks", "timed_out_chunks",
+           "failed_samples", "retried_evaluations")
 
 
 @dataclass
@@ -67,29 +73,23 @@ class RunReport:
     def wall_time_s(self) -> float:
         return float(sum(self.phase_seconds.values()))
 
+    def add(self, other: "RunReport") -> None:
+        """Add ``other``'s counts and phase times to this report and OR
+        its flags in: the one fold of report counts, for an estimate's
+        evaluation and for a shard merge alike."""
+        for name in _COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.degraded_to_serial |= other.degraded_to_serial
+        self.pool_incompatible |= other.pool_incompatible
+        for mine, theirs in ((self.warm_cache, other.warm_cache),
+                             (self.dc_effort, other.dc_effort),
+                             (self.phase_seconds, other.phase_seconds)):
+            for key, value in theirs.items():
+                mine[key] = mine.get(key, 0) + value
+
     def to_dict(self) -> Dict:
-        return {
-            "estimator": self.estimator,
-            "n_samples": self.n_samples,
-            "theta_groups": self.theta_groups,
-            "simulations": self.simulations,
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "chunks": self.chunks,
-            "retried_chunks": self.retried_chunks,
-            "timed_out_chunks": self.timed_out_chunks,
-            "failed_samples": self.failed_samples,
-            "retried_evaluations": self.retried_evaluations,
-            "degraded_to_serial": self.degraded_to_serial,
-            "pool_incompatible": self.pool_incompatible,
-            "warm_cache": dict(self.warm_cache),
-            "dc_effort": dict(self.dc_effort),
-            "phase_seconds": dict(self.phase_seconds),
-            "wall_time_s": self.wall_time_s,
-        }
+        """Every field, in declaration order, and ``wall_time_s``."""
+        return {**asdict(self), "wall_time_s": self.wall_time_s}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -170,22 +170,14 @@ class SimulatorHealth:
             or self.degraded_runs or self.incompatible_runs)
 
     def to_dict(self) -> Dict:
-        return {
-            "runs": self.runs,
-            "failed_samples": self.failed_samples,
-            "retried_evaluations": self.retried_evaluations,
-            "retried_chunks": self.retried_chunks,
-            "timed_out_chunks": self.timed_out_chunks,
-            "degraded_runs": self.degraded_runs,
-            "incompatible_runs": self.incompatible_runs,
-        }
+        return asdict(self)
 
 
 class PhaseTimer:
     """Context manager accumulating wall time into ``report.phase_seconds``.
 
-    Re-entering the same phase accumulates (the executor's retry path
-    re-opens the "simulate" phase)."""
+    Re-entering the same phase accumulates (:class:`~repro.yieldsim.
+    importance.MeanShiftIS` re-opens the "reduce" phase)."""
 
     def __init__(self, report: RunReport, phase: str):
         self.report = report

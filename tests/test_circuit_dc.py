@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.circuit.dc as dc_module
+from repro import counters
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.dc import (CONVERGED, DcEffort, GMIN_FACTOR, GMIN_FINAL,
                               GMIN_START, SOURCE_SCALES, device_stage,
@@ -327,39 +328,34 @@ class TestDcEffort:
     def test_counts_winning_strategy(self):
         effort = DcEffort()
         solve_dc(divider(), effort=effort)
-        assert effort.stats()["newton"] == 1
-        assert effort.stats()["failed"] == 0
+        assert effort["newton"] == 1
+        assert effort["failed"] == 0
 
     def test_counts_warm_strategy(self):
         effort = DcEffort()
         cold = solve_dc(divider())
         solve_dc(divider(), x0=cold.x, effort=effort)
-        assert effort.stats()["newton-warm"] == 1
-        assert effort.stats()["newton"] == 0
+        assert effort["newton-warm"] == 1
+        assert effort["newton"] == 0
 
     def test_counts_exhausted_chain_as_failed(self, monkeypatch):
         monkeypatch.setattr(dc_module, "MAX_ITERATIONS", 0)
         effort = DcEffort()
         with pytest.raises(ConvergenceError):
             solve_dc(divider(), effort=effort)
-        stats = effort.stats()
-        assert stats["failed"] == 1
-        assert all(stats[key] == 0 for key in DcEffort.COUNTER_KEYS
-                   if key != "failed")
+        assert effort["failed"] == 1
+        assert all(effort[key] == 0 for key in effort if key != "failed")
 
     def test_absorb_and_delta_mirror_warm_cache_protocol(self):
         a = DcEffort()
         a.count("newton", 3)
         a.count("gmin-stepping")
-        before = a.stats()
+        before = counters.snapshot({"dc_effort": a})
         a.absorb({"newton": 2, "source-stepping": 1})
-        after = a.stats()
-        delta = DcEffort.counter_delta(after, before)
+        delta = counters.since({"dc_effort": a}, before)["dc_effort"]
         assert delta == {"newton-warm": 0, "newton": 2,
                          "gmin-stepping": 0, "source-stepping": 1,
                          "failed": 0}
-        a.clear()
-        assert all(v == 0 for v in a.stats().values())
 
 
 class _RowSpec(NamedTuple):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import counters
 from repro.circuit import Circuit, solve_dc
 from repro.circuit.ac import (AcSystem, shared_matrix_transfers,
                               transfer_at)
@@ -557,14 +558,15 @@ class TestWarmStartCacheCounters:
         cache = WarmStartCache()
         cache.store("a", None)
         cache.lookup("a")
-        before = cache.stats()
+        before = counters.snapshot({"warm_cache": cache.counts})
         cache.lookup("a")
         cache.lookup("zz")
-        delta = WarmStartCache.counter_delta(cache.stats(), before)
+        delta = counters.since({"warm_cache": cache.counts},
+                               before)["warm_cache"]
         assert delta == {"hits": 1, "misses": 1, "chain_seeds": 0,
                          "chain_solves": 0, "evictions": 0}
         other = WarmStartCache()
-        other.absorb(delta)
+        other.counts.absorb(delta)
         assert other.stats()["hits"] == 1
         assert other.stats()["misses"] == 1
 

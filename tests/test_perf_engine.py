@@ -224,7 +224,23 @@ class TestWarmStartDc:
         cache.store(("c",), np.zeros(2))  # evicts ("a",)
         assert len(cache) == 2
         assert cache.lookup(("a",)) is WarmStartCache._MISSING
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.counts["hits"] == 1 and cache.counts["misses"] == 1
+
+    def test_anchor_ft_bench_reuses_the_solved_operating_point(
+            self, monkeypatch):
+        """The anchor's f_t is measured on the representative's own DC
+        solution: the bench never solves its operating point again."""
+        import repro.evaluation.measure as measure_module
+        from repro.circuits import MillerOpamp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the anchor bench re-solved its DC point")
+
+        monkeypatch.setattr(measure_module, "solve_dc", refuse)
+        t = MillerOpamp()
+        _, _, ft = t._warm_anchor(t.initial_design(),
+                                  t.operating_range.nominal())
+        assert ft is not None and ft > 0.0
 
     def test_warm_rep_quantization(self):
         assert _warm_rep(0.0) == 0.0
@@ -251,7 +267,8 @@ class TestWarmStartDc:
         wb = t2.evaluate(d, s0, theta_b)  # reversed arrival order
         wa = t2.evaluate(d, s0, theta_a)
         assert va == wa and vb == wb
-        assert t1._warm_cache.hits >= 1  # second point reused the anchor
+        # the second point reused the anchor
+        assert t1._warm_cache.counts["hits"] >= 1
 
 
 class TestEvaluatorKey:
@@ -304,9 +321,10 @@ class TestEvaluatorKey:
                 worker.evaluate(d, s, theta)
         parent = Evaluator(template)
         new, dup = parent.absorb_cache(writes)
-        parent.absorb_counts(simulations=new, requests=worker.request_count,
-                             cache_hits=worker.cache_hits + dup,
-                             cache_misses=new)
+        parent.counts.absorb({"simulations": new,
+                              "requests": worker.request_count,
+                              "cache_hits": worker.cache_hits + dup,
+                              "cache_misses": new})
         assert parent.simulation_count == serial.simulation_count
         assert parent.cache_hits == serial.cache_hits
         assert parent.request_count == serial.request_count

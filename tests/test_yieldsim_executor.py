@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from helpers import LinearTemplate
-from repro.errors import ReproError
+from repro.errors import ConvergenceError, ReproError
 from repro.evaluation import Evaluator
-from repro.runtime import FaultInjectingEvaluator, FaultTolerantEvaluator
+from repro.runtime import (FaultInjectingEvaluator, FaultTolerantEvaluator,
+                           point_digest)
+from repro.spec import spec_key
 from repro.yieldsim import BatchExecutor, ExecutionConfig, make_estimator
 
 THETAS = [{"temp": 27.0}]
@@ -73,6 +75,22 @@ class DieInWorkerTemplate(LinearTemplate):
     def evaluate(self, d, s_hat, theta, performances=None):
         if os.getpid() != self.home_pid:
             os._exit(17)
+        return super().evaluate(d, s_hat, theta, performances)
+
+
+class DigestFaultTemplate(LinearTemplate):
+    """Raises a ``ConvergenceError`` at the points whose digest falls
+    below ``rate``: a pure function of the point, so a pool worker fails
+    exactly where the parent does, and a jittered retry point, which
+    hashes differently, clears some faults and not others."""
+
+    def __init__(self, rate=0.5):
+        super().__init__()
+        self.rate = rate
+
+    def evaluate(self, d, s_hat, theta, performances=None):
+        if point_digest(d, s_hat, theta) / 2.0 ** 32 < self.rate:
+            raise ConvergenceError("digest-scheduled fault")
         return super().evaluate(d, s_hat, theta, performances)
 
 
@@ -243,6 +261,33 @@ class TestProcessPoolBackend:
         assert pooled.report.warm_cache == serial.report.warm_cache
         assert pooled.estimate == serial.estimate
         assert pooled.report.simulations == serial.report.simulations
+
+    def test_pooled_run_folds_worker_policy_counts(self):
+        # Each worker wraps its evaluator in a fresh fault-tolerant facade
+        # and ships its policy counts back with the task, so a pooled
+        # estimate counts the serial run's failed, retried and recovered
+        # evaluations.
+        def estimate(jobs):
+            evaluator = Evaluator(DigestFaultTemplate())
+            guarded = FaultTolerantEvaluator(evaluator)
+            theta_wc = {spec_key(spec): THETAS[0]
+                        for spec in evaluator.template.specs}
+            with guarded.lenient():
+                result = make_estimator("mc", jobs=jobs).estimate(
+                    guarded, D, theta_wc, n_samples=40, seed=3)
+            report = result.report
+            return (report.backend,
+                    (guarded.failed_evaluations,
+                     guarded.retried_evaluations,
+                     guarded.recovered_evaluations),
+                    dict(evaluator.counts),
+                    (report.simulations, report.retried_evaluations,
+                     report.failed_samples))
+
+        serial, pooled = estimate(1), estimate(2)
+        assert (serial[0], pooled[0]) == ("serial", "process-pool")
+        assert all(serial[1])  # failed, retried and recovered
+        assert pooled[1:] == serial[1:]
 
 
 class TestPoolDegradation:
